@@ -8,7 +8,9 @@ Usage (from the root of a checkout)::
 Each run sets its workload up ``SETUP_REPEATS`` times (``setup_s`` is
 the median), then spawns the workload's user command through the real
 CLI back to back for ``--seconds`` seconds (at least ``MIN_SAMPLES``
-spawns) and checks every output.  ``--trace 0`` prints the end-to-end
+spawns) and checks every output.  Set-up and spawn seconds are scaled
+to nominal host speed by a reference timed between them
+(``hostspeed.py``).  ``--trace 0`` prints the end-to-end
 metrics; ``--trace 1`` also replays the workload in-process with a span
 around every layer call (``replay.py``) and prints the per-layer ones.
 The last stdout line is one JSON object: ``correct``, ``attempted``,
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import hostspeed
 from checks import (
     Tally, artifact_set, exact_counts, fingerprint, golden_matches,
     parse_batch_summary, store_records,
@@ -318,8 +321,9 @@ SELF_TIMES = {
 }
 
 
-def layer_metrics(trace: dict[str, Any], traced_wall: float, wall_s: float,
-                  batches: list[dict[str, float]]) -> dict[str, tuple[float, str]]:
+def layer_metrics(trace: dict[str, Any], traced_wall: float,
+                  raw_wall_s: float, batches: list[dict[str, float]],
+                  ) -> dict[str, tuple[float, str]]:
     """Per-layer metrics from the replay's spans and the untimed batches.
 
     ``exec.batch_s``/``overhead_s``/``pool_speedup`` come from the CLI's
@@ -357,7 +361,8 @@ def layer_metrics(trace: dict[str, Any], traced_wall: float, wall_s: float,
             self_s.get("sim.simulate", 0.0) / events * 1e6 if events else 0.0,
             "us"),
         "trace.wall_s": (traced_wall, "s"),
-        "trace.overhead_s": (traced_wall - wall_s, "s"),
+        # both raw: the replay's self times are not scaled to host speed
+        "trace.overhead_s": (traced_wall - raw_wall_s, "s"),
         # the replay's own loop plus interpreter teardown
         "trace.unattributed_s": (
             traced_wall - sum(self_s.values()) + self_s.get("replay", 0.0),
@@ -384,32 +389,49 @@ def run(args: argparse.Namespace, workdir: Path) -> dict[str, Any]:
     tally = Tally()
     workload = WORKLOADS[args.workload](workdir, args.seed)
 
-    setup_times = []
+    # host-speed reference times: one before the first step, one after each
+    setup_refs = [hostspeed.measure()]
+    raw_setups = []
     for repeat in range(SETUP_REPEATS):
         started = time.monotonic()
         workload.setup(repeat, tally)
-        setup_times.append(time.monotonic() - started)
+        raw_setups.append(time.monotonic() - started)
+        setup_refs.append(hostspeed.measure(raw_setups[-1]))
     workload.finish_setup(tally)
 
     samples: list[Spawn] = []
+    refs = [hostspeed.measure()]
     started = time.monotonic()
-    # stop before a spawn that would overrun --seconds, given the last one
+    # stop before a spawn (and its reference) would overrun --seconds,
+    # given the last one
     while len(samples) < MIN_SAMPLES or (
-        time.monotonic() - started + samples[-1].wall < args.seconds
+        time.monotonic() - started + samples[-1].wall
+        + hostspeed.duration(samples[-1].wall) < args.seconds
     ):
         done = spawn(workload.command(len(samples)), workdir)
+        refs.append(hostspeed.measure(done.wall))
         workload.check(len(samples), done, tally)
         samples.append(done)
     check_golden(workdir, tally)
 
-    walls = [sample.wall for sample in samples]
+    raw_walls = [sample.wall for sample in samples]
+    walls = hostspeed.scaled(raw_walls, refs)
+    setup_times = hostspeed.scaled(raw_setups, setup_refs)
     q1, wall_s, q3 = statistics.quantiles(walls, n=4)
+    raw_wall_s = statistics.median(raw_walls)
     rss = statistics.median(sample.rss_mb for sample in samples)
     setup_s = statistics.median(setup_times)
+    print(f"host speed: reference unit {statistics.median(refs):.4f} s "
+          f"median [{min(refs):.4f}-{max(refs):.4f}] over the spawns, "
+          f"nominal {hostspeed.NOMINAL_S} s; times below are at nominal "
+          f"speed")
     print(f"setup_s: median {setup_s:.4f} s of {len(setup_times)} "
-          f"({', '.join(f'{t:.4f}' for t in setup_times)})")
+          f"({', '.join(f'{t:.4f}' for t in setup_times)}); raw median "
+          f"{statistics.median(raw_setups):.4f} s")
     print(f"wall_s: median {wall_s:.4f} s, q1 {q1:.4f}, q3 {q3:.4f}, "
           f"n={len(walls)} ({', '.join(f'{w:.4f}' for w in walls)})")
+    print(f"raw wall: median {raw_wall_s:.4f} s "
+          f"({', '.join(f'{w:.4f}' for w in raw_walls)})")
     print(f"peak_rss_mb: median {rss:.1f} MB, max "
           f"{max(s.rss_mb for s in samples):.1f} MB")
     batches = [b for b in (parse_batch_summary(s.stderr) for s in samples) if b]
@@ -437,7 +459,12 @@ def run(args: argparse.Namespace, workdir: Path) -> dict[str, Any]:
             tally.check(trace["counts"].get("replay.mismatches", 0) == 0,
                         "traced replay result differs from execute_job's")
             workload.check_replay(tally)
-        metrics = layer_metrics(trace, done.wall, wall_s, batches)
+        metrics = layer_metrics(trace, done.wall, raw_wall_s, batches)
+        metrics.update({
+            "host.raw_wall_s": (raw_wall_s, "s"),
+            "host.raw_setup_s": (statistics.median(raw_setups), "s"),
+            "host.ref_s": (statistics.median(refs), "s"),
+        })
         metrics.update(
             (name, (value, EXACT_UNITS[name])) for name, value in counts.items()
         )

@@ -17,6 +17,7 @@ BENCH = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(BENCH))
 sys.path.insert(0, str(BENCH.parent / "src"))
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 from checks import Tally, exact_counts, parse_batch_summary  # noqa: E402
 
@@ -101,3 +102,13 @@ def test_gated_saving_pairs_gated_with_ungated() -> None:
     assert counts["power.gated_saving"] == pytest.approx(0.2)
     assert counts["tx.commit_ratio"] == 0.75
     assert counts["sim.parallel_cycles"] == 20
+
+
+def test_scaling_divides_out_host_speed() -> None:
+    nominal = hostspeed.NOMINAL_S
+    # the host ran at half speed around the second spawn
+    refs = [nominal, nominal, 2 * nominal, 2 * nominal]
+    assert hostspeed.scaled([1.0, 1.5, 2.0], refs) == pytest.approx(
+        [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        hostspeed.scaled([1.0], [nominal])
