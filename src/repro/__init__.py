@@ -20,6 +20,9 @@ See ``examples/`` for full scenarios and ``benchmarks/`` for the
 experiments that regenerate every table and figure of the paper.
 """
 
+from typing import Any
+
+from . import _lazy
 from .config import (
     BusConfig,
     CacheConfig,
@@ -39,29 +42,6 @@ from .errors import (
     ReproError,
     SimulationError,
     WorkloadError,
-)
-from .htm import (
-    BarrierOp,
-    Compute,
-    Load,
-    Machine,
-    MachineResult,
-    Store,
-    ThreadContext,
-    ThreadProgram,
-    TxOp,
-    transaction,
-)
-from .power import (
-    EnergyBreakdown,
-    EnergyReport,
-    PowerModel,
-    PowerModelParams,
-    ProcState,
-    compute_energy,
-    format_energy_report,
-    tcc_cache_power_curve,
-    tcc_total_power_factor,
 )
 
 __version__ = "1.0.0"
@@ -106,19 +86,19 @@ __all__ = [
     "format_energy_report",
     "tcc_cache_power_curve",
     "tcc_total_power_factor",
-    # high-level API (populated below)
+    # high-level API
     "run_workload",
     "compare_gating",
     "workload",
     "available_workloads",
     "RunResult",
     "GatingComparison",
-    # parallel execution / caching (populated below)
+    # parallel execution / caching
     "Executor",
     "RunJob",
     "ExecResult",
     "ResultStore",
-    # declarative scenarios (populated below)
+    # declarative scenarios and figures
     "ScenarioSpec",
     "ScenarioSuite",
     "scenario",
@@ -132,27 +112,36 @@ __all__ = [
     "__version__",
 ]
 
-# High-level harness API; imported last to avoid import cycles.
-from .harness import (  # noqa: E402
-    GatingComparison,
-    RunResult,
-    available_workloads,
-    compare_gating,
-    run_workload,
-    workload,
-)
-from .exec import ExecResult, Executor, ResultStore, RunJob  # noqa: E402
-from .scenarios import (  # noqa: E402
-    ScenarioSpec,
-    ScenarioSuite,
-    available_suites,
-    get_suite,
-    run_suite,
-    scenario,
-)
-from .figures import (  # noqa: E402
-    FigureBuilder,
-    FigureParams,
-    FigureSpec,
-    available_figures,
-)
+# Everything beyond config and errors resolves on first access, so
+# ``import repro`` does not import numpy or the simulator.
+_EXPORTS: _lazy.Exports = {
+    ".htm": (
+        "BarrierOp", "Compute", "Load", "Machine", "MachineResult", "Store",
+        "ThreadContext", "ThreadProgram", "TxOp", "transaction",
+    ),
+    ".power": (
+        "EnergyBreakdown", "EnergyReport", "PowerModel", "PowerModelParams",
+        "ProcState", "compute_energy", "format_energy_report",
+        "tcc_cache_power_curve", "tcc_total_power_factor",
+    ),
+    ".harness": (
+        "GatingComparison", "RunResult", "available_workloads",
+        "compare_gating", "run_workload", "workload",
+    ),
+    ".exec": ("ExecResult", "Executor", "ResultStore", "RunJob"),
+    ".scenarios": (
+        "ScenarioSpec", "ScenarioSuite", "available_suites", "get_suite",
+        "run_suite", "scenario",
+    ),
+    ".figures": (
+        "FigureBuilder", "FigureParams", "FigureSpec", "available_figures",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

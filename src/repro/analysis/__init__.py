@@ -2,8 +2,9 @@
 
 Turns traces and timelines into the artefacts a systems study needs:
 
-* :mod:`~repro.analysis.conflicts` — who aborted whom (a ``networkx``
-  digraph), per-site conflict statistics.
+* :mod:`~repro.analysis.conflicts` — who aborted whom (aborter→victim
+  edge counts plus per-processor self-aborts), per-site conflict
+  statistics.
 * :mod:`~repro.analysis.gating` — gating-episode extraction (window
   lengths, renewal chains, per-directory behaviour).
 * :mod:`~repro.analysis.timelines` — CSV export and state-share
@@ -21,11 +22,9 @@ Turns traces and timelines into the artefacts a systems study needs:
   the CLI; see docs/static-analysis.md).
 """
 
-from .conflicts import ConflictStats, abort_graph, conflict_stats
-from .figreport import format_figure, load_figure
-from .gating import GatingEpisode, extract_episodes, gating_summary
-from .timelines import state_shares, timelines_to_csv
-from .runreport import run_report
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "ConflictStats",
@@ -40,3 +39,19 @@ __all__ = [
     "load_figure",
     "run_report",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".conflicts": ("ConflictStats", "abort_graph", "conflict_stats"),
+    ".figreport": ("format_figure", "load_figure"),
+    ".gating": ("GatingEpisode", "extract_episodes", "gating_summary"),
+    ".timelines": ("state_shares", "timelines_to_csv"),
+    ".runreport": ("run_report",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

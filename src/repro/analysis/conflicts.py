@@ -3,11 +3,11 @@
 Consumes a :class:`~repro.sim.trace.TraceRecorder` that recorded the
 ``tx`` (and optionally ``dir``) categories and produces:
 
-* an *abort graph* — a directed multigraph-ish ``networkx.DiGraph``
-  with processors as nodes and aggregated aborter→victim edges
-  (``weight`` = abort count), the structure used to reason about
-  contention topology (e.g. the queue head makes intruder's graph
-  nearly complete; disjoint workloads give an empty graph);
+* an *abort graph* — :class:`AbortGraph`, aggregated aborter→victim
+  edge counts between processors plus per-processor self-aborts, the
+  structure used to reason about contention topology (e.g. the queue
+  head makes intruder's graph nearly complete; disjoint workloads give
+  an empty graph);
 * per-site statistics — which static transactions (PC sites, the
   identity Eq. 8's renewal check compares) suffer and cause aborts.
 """
@@ -16,34 +16,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..sim.trace import NullTrace
 
-__all__ = ["abort_graph", "ConflictStats", "conflict_stats"]
+__all__ = ["AbortGraph", "abort_graph", "ConflictStats", "conflict_stats"]
 
 
-def abort_graph(trace: NullTrace) -> "nx.DiGraph":
-    """Aggregate ``tx.abort`` events into an aborter→victim digraph.
+@dataclass
+class AbortGraph:
+    """Who aborted whom in one run.
 
-    Self-aborts (wake-ups without a conflicting committer) have no
-    aborter and are recorded on the node as ``self_aborts``.
+    The nodes are the keys of ``self_aborts``: every processor that
+    aborted or caused an abort.
     """
-    graph = nx.DiGraph()
+
+    #: (aborter proc, victim proc) -> aborts
+    edges: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: proc -> aborts with no aborter (wake-ups without a conflicting
+    #: committer); 0 for a processor seen only in conflict aborts
+    self_aborts: dict[int, int] = field(default_factory=dict)
+
+
+def abort_graph(trace: NullTrace) -> AbortGraph:
+    """Aggregate ``tx.abort`` events into an aborter→victim graph."""
+    graph = AbortGraph()
     for event in trace.events("tx.abort"):
         victim = event.payload["proc"]
         aborter = event.payload.get("aborter")
-        if not graph.has_node(victim):
-            graph.add_node(victim, self_aborts=0)
+        graph.self_aborts.setdefault(victim, 0)
         if aborter is None:
-            graph.nodes[victim]["self_aborts"] += 1
+            graph.self_aborts[victim] += 1
             continue
-        if not graph.has_node(aborter):
-            graph.add_node(aborter, self_aborts=0)
-        if graph.has_edge(aborter, victim):
-            graph[aborter][victim]["weight"] += 1
-        else:
-            graph.add_edge(aborter, victim, weight=1)
+        graph.self_aborts.setdefault(aborter, 0)
+        edge = (aborter, victim)
+        graph.edges[edge] = graph.edges.get(edge, 0) + 1
     return graph
 
 

@@ -51,28 +51,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis.runreport import run_report
-from .cm.registry import available_cms
-from .config import GatingConfig, SystemConfig
+from .config import DEFAULT_W0_VALUES, GatingConfig, SystemConfig
 from .errors import ExecutionError
 from .exec.backends import BACKEND_CHOICES
-from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
-from .harness.compare import compare_gating
-from .harness.experiments import EvaluationSuite
 from .harness.reporting import format_matrix, format_table
-from .harness.runner import run_workload, workload
-from .harness.sweep import DEFAULT_W0_VALUES, w0_sensitivity
-from .power.cacti import FIG3_CACHE_SIZES_KB, tcc_cache_power_curve, tcc_total_power_factor
-from .power.report import format_energy_report
-from .scenarios.builtin import available_suites, get_suite, suite_help
-from .scenarios.runner import Shard, SuiteRun, plan_suite, run_suite
-from .scenarios.suite import load_suite_file
-from .sim.trace import TraceRecorder
-from .workloads.registry import available_workloads, workload_schema
+
+if TYPE_CHECKING:
+    from .exec.executor import BatchExecutionError, Executor
+    from .scenarios.runner import Shard
+
+# Each command imports what it runs inside its handler: a read-only
+# command (``figures build`` on a warm store, ``suite describe|plan``,
+# ``exec-status``, ``list``) never imports numpy or the simulator.
 
 __all__ = ["main", "build_parser"]
 
@@ -125,6 +119,8 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 
 
 def _shard_arg(text: str) -> Shard:
+    from .scenarios.runner import Shard
+
     try:
         return Shard.parse(text)
     except ExecutionError as exc:
@@ -141,6 +137,8 @@ def _config(args: argparse.Namespace, gating_enabled: bool = True) -> SystemConf
 
 
 def _executor(args: argparse.Namespace) -> Executor:
+    from .exec.executor import Executor
+
     store = None
     if args.cache_dir and not args.no_cache:
         store = ResultStore(args.cache_dir, backend=args.store)
@@ -436,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.runreport import run_report
+    from .harness.runner import run_workload, workload
+    from .sim.trace import TraceRecorder
+
     trace = TraceRecorder(kinds=("tx", "gate"))
     config = _config(args, gating_enabled=not args.no_gating)
     result = run_workload(
@@ -457,6 +459,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .harness.compare import compare_gating
+    from .harness.runner import workload
+    from .power.report import format_energy_report
+
     comparison = compare_gating(
         workload(args.workload, scale=args.scale, seed=args.seed),
         _config(args),
@@ -469,6 +475,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .harness.experiments import EvaluationSuite
+
     suite = EvaluationSuite(
         scale=args.scale, seed=args.seed, procs=tuple(args.grid), w0=args.w0,
         executor=_executor(args),
@@ -496,6 +504,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness.runner import workload
+    from .harness.sweep import w0_sensitivity
+
     curves = w0_sensitivity(
         workload(args.workload, scale=args.scale, seed=args.seed),
         _config(args),
@@ -522,6 +533,9 @@ def _resolve_suite(args: argparse.Namespace):
     ``--seed 0`` counts) rewrite the base spec; axes that sweep those
     fields still win at expansion.
     """
+    from .scenarios.builtin import get_suite
+    from .scenarios.suite import load_suite_file
+
     if getattr(args, "file", None):
         loaded = load_suite_file(args.file)
         updates = {}
@@ -540,6 +554,8 @@ def _resolve_suite(args: argparse.Namespace):
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     if args.action == "list":
+        from .scenarios.builtin import suite_help
+
         print(format_table(
             ["suite", "scenarios", "description"],
             suite_help(),
@@ -567,6 +583,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return _suite_plan(args, named)
 
     # action == "run"
+    from .scenarios.runner import SuiteRun, run_suite
+
     outcome = run_suite(named, executor=_executor(args), shard=args.shard)
     shard_note = f" [shard {args.shard}]" if args.shard is not None else ""
     print(format_table(
@@ -592,6 +610,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _suite_plan(args: argparse.Namespace, named) -> int:
     """``suite plan``: probe the store per job digest, never simulate."""
     import os
+
+    from .scenarios.runner import plan_suite
 
     store = None
     if args.cache_dir:
@@ -819,6 +839,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_power(_args: argparse.Namespace) -> int:
+    from .power.cacti import (
+        FIG3_CACHE_SIZES_KB, tcc_cache_power_curve, tcc_total_power_factor,
+    )
+
     values = {
         f"{size}KB": dict(tcc_cache_power_curve(size))
         for size in FIG3_CACHE_SIZES_KB
@@ -1034,6 +1058,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from .cm.registry import available_cms
+    from .scenarios.builtin import available_suites
+    from .workloads.registry import available_workloads, workload_schema
+
     print("workloads:")
     for name in available_workloads():
         params = ", ".join(workload_schema(name).names()) or "(none)"
@@ -1115,7 +1143,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     recorder, obs_mode = _obs_setup(args, argv)
     try:
         return _COMMANDS[args.command](args)
-    except BatchExecutionError as exc:
+    except ExecutionError as exc:
+        # only a command that ran a batch can raise this, so the
+        # executor module is already loaded
+        from .exec.executor import BatchExecutionError
+
+        if not isinstance(exc, BatchExecutionError):
+            raise
         _print_failures(exc)
         return 1
     finally:

@@ -37,6 +37,7 @@ __all__ = [
     "CommitConfig",
     "GatingConfig",
     "SystemConfig",
+    "DEFAULT_W0_VALUES",
 ]
 
 
@@ -168,6 +169,10 @@ class CommitConfig:
             self.abort_drain_cycles >= 0,
             "abort drain must be non-negative",
         )
+
+
+#: the W0 values swept in our Fig. 7 reproduction
+DEFAULT_W0_VALUES: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)

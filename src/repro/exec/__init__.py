@@ -38,19 +38,9 @@ the ``exec-status`` subcommand.
 
 from __future__ import annotations
 
-from .backends import (
-    BACKEND_CHOICES,
-    BACKENDS,
-    JsonlBackend,
-    SqliteBackend,
-    StoreBackend,
-    create_backend,
-    detect_backend,
-)
-from .executor import BatchExecutionError, BatchReport, Executor, JobFailure
-from .jobs import SCHEMA_VERSION, ExecResult, RunJob, execute_job
-from .progress import ConsoleProgress, NullProgress, ProgressListener
-from .store import PruneReport, ResultStore, StoreStats
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "RunJob",
@@ -75,3 +65,24 @@ __all__ = [
     "NullProgress",
     "ConsoleProgress",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".backends": (
+        "BACKEND_CHOICES", "BACKENDS", "JsonlBackend", "SqliteBackend",
+        "StoreBackend", "create_backend", "detect_backend",
+    ),
+    ".executor": (
+        "BatchExecutionError", "BatchReport", "Executor", "JobFailure",
+    ),
+    ".jobs": ("SCHEMA_VERSION", "ExecResult", "RunJob", "execute_job"),
+    ".progress": ("ConsoleProgress", "NullProgress", "ProgressListener"),
+    ".store": ("PruneReport", "ResultStore", "StoreStats"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

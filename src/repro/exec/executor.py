@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ..errors import ExecutionError
+from ..harness.runner import import_simulator
 from ..obs import get_recorder
 from .jobs import (
     ExecResult,
@@ -562,6 +563,9 @@ class Executor:
         run_seconds = 0.0
         progress_state = [0]  # mutable done-counter shared with pack landing
         units = self._dispatch_units(pending, workers)
+        # The pool forks this process: import the simulator here, once,
+        # so the workers inherit it instead of each importing it.
+        import_simulator({job.spec.name for _digest, job in pending})
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}
             for unit in units:

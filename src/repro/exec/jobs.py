@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from ..config import SystemConfig
 from ..metrics import TxMetricsMixin
-from ..power.energy import EnergyBreakdown
+from ..power.breakdown import EnergyBreakdown
 from ..power.model import PowerModel
 from .serialize import canonical_json
 

@@ -27,7 +27,7 @@ from ..config import (
     MemoryConfig,
     SystemConfig,
 )
-from ..power.energy import EnergyBreakdown
+from ..power.breakdown import EnergyBreakdown
 from ..power.model import PowerModel
 from ..power.states import ProcState
 

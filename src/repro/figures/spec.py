@@ -24,10 +24,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
-from ..config import GatingConfig, SystemConfig
+from ..config import DEFAULT_W0_VALUES, GatingConfig, SystemConfig
 from ..errors import FigureError
 from ..exec.serialize import canonical_json
-from ..harness.sweep import DEFAULT_W0_VALUES
 from ..power.model import PowerModel
 from ..scenarios.suite import ScenarioSuite, SpecListSuite
 from ..workloads.registry import PAPER_APPS

@@ -10,13 +10,9 @@ High-level entry points:
   every table and figure of the paper's evaluation.
 """
 
-from .runner import RunResult, WorkloadSpec, run_workload, workload
-from .compare import GatingComparison, compare_gating
-from .sweep import w0_sensitivity, w0_sensitivity_grid, proc_scaling
-from .experiments import EvaluationSuite
-from .reporting import format_table, format_matrix
-from .validation import check_serializability
-from ..workloads.registry import available_workloads
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "RunResult",
@@ -34,3 +30,21 @@ __all__ = [
     "check_serializability",
     "available_workloads",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".runner": ("RunResult", "WorkloadSpec", "run_workload", "workload"),
+    ".compare": ("GatingComparison", "compare_gating"),
+    ".sweep": ("w0_sensitivity", "w0_sensitivity_grid", "proc_scaling"),
+    ".experiments": ("EvaluationSuite",),
+    ".reporting": ("format_table", "format_matrix"),
+    ".validation": ("check_serializability",),
+    "..workloads.registry": ("available_workloads",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..config import SystemConfig
 from ..exec.executor import Executor
 from ..exec.jobs import ExecResult, RunJob
-from ..power.energy import average_power_reduction, energy_reduction
+from ..power.breakdown import average_power_reduction, energy_reduction
 from ..power.model import PowerModel
 from ..power.report import EnergyReport
 from .runner import RunResult, WorkloadSpec

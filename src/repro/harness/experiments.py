@@ -23,14 +23,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from ..config import GatingConfig, SystemConfig
+from ..config import DEFAULT_W0_VALUES, GatingConfig, SystemConfig
 from ..exec.executor import Executor
 from ..power.cacti import FIG3_CACHE_SIZES_KB, tcc_cache_power_curve
 from ..power.model import PowerModel
 from ..workloads.registry import PAPER_APPS
 from .compare import GatingComparison, compare_gating
 from .runner import WorkloadSpec
-from .sweep import DEFAULT_W0_VALUES, w0_sensitivity_grid
+from .sweep import w0_sensitivity_grid
 
 __all__ = ["EvaluationSuite"]
 

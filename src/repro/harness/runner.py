@@ -10,22 +10,28 @@ with the paper's accounting (cross-checked interval vs direct).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..config import SystemConfig
 from ..errors import HarnessError
-from ..htm.machine import Machine, MachineResult
 from ..metrics import TxMetricsMixin
-from ..power.energy import EnergyBreakdown, compute_energy
 from ..power.model import PowerModel
-from ..sim.timeline import verify_tiling
-from ..sim.trace import NullTrace
-from ..workloads.base import WorkloadInstance
-from ..workloads.registry import build_workload, workload_seed_invariant
-from .validation import check_serializability
+from ..workloads.registry import (
+    available_workloads,
+    build_workload,
+    workload_builder,
+    workload_seed_invariant,
+)
+
+if TYPE_CHECKING:  # the simulator is imported by run_workload
+    from ..htm.machine import Machine, MachineResult
+    from ..power.breakdown import EnergyBreakdown
+    from ..sim.trace import NullTrace
+    from ..workloads.base import WorkloadInstance
 
 __all__ = [
     "WorkloadSpec", "workload", "RunResult", "RunReuse", "run_workload",
+    "import_simulator",
 ]
 
 
@@ -128,6 +134,8 @@ def _resolve_instance(
     config: SystemConfig,
     reuse: RunReuse | None = None,
 ) -> WorkloadInstance:
+    from ..workloads.base import WorkloadInstance
+
     if isinstance(source, WorkloadInstance):
         if source.num_threads != config.num_procs:
             raise HarnessError(
@@ -158,6 +166,23 @@ def _resolve_instance(
     raise HarnessError(f"cannot interpret workload source {source!r}")
 
 
+def import_simulator(workloads: Iterable[str] = ()) -> None:
+    """Import the modules :func:`run_workload` simulates with, and the
+    builders of the named workloads.
+
+    :func:`run_workload` imports them itself on first use.  A process
+    about to fork workers calls this first, so the workers inherit numpy
+    and the simulator copy-on-write instead of each importing them.
+    Unregistered names are skipped: a job naming one fails in its
+    worker, where the executor reports it.
+    """
+    from ..htm import machine  # noqa: F401
+    from ..power import energy  # noqa: F401
+
+    for name in set(workloads).intersection(available_workloads()):
+        workload_builder(name)
+
+
 def run_workload(
     source: WorkloadInstance | WorkloadSpec | str,
     config: SystemConfig,
@@ -185,6 +210,11 @@ def run_workload(
         (:meth:`repro.htm.machine.Machine.reset`).  Ignored when a
         trace is requested (a machine binds its trace at construction).
     """
+    from ..htm.machine import Machine
+    from ..power.energy import compute_energy
+    from ..sim.timeline import verify_tiling
+    from .validation import check_serializability
+
     instance = _resolve_instance(source, config, reuse)
     machine: Machine | None = None
     if reuse is not None and trace is None:

@@ -22,10 +22,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from ..config import SystemConfig
+from ..config import DEFAULT_W0_VALUES, SystemConfig
 from ..exec.executor import Executor
 from ..exec.jobs import ExecResult
-from ..power.energy import average_power_reduction, energy_reduction
+from ..power.breakdown import average_power_reduction, energy_reduction
 from ..power.model import PowerModel
 from .runner import WorkloadSpec
 
@@ -35,9 +35,6 @@ __all__ = [
     "proc_scaling",
     "DEFAULT_W0_VALUES",
 ]
-
-#: the W0 values swept in our Fig. 7 reproduction
-DEFAULT_W0_VALUES: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 
 def _as_spec(source: WorkloadSpec | str) -> WorkloadSpec:

@@ -17,8 +17,12 @@ Any divergence is a protocol bug, reported with full context.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..errors import ProtocolError
-from ..htm.machine import MachineResult
+
+if TYPE_CHECKING:
+    from ..htm.machine import MachineResult
 
 __all__ = ["check_serializability"]
 

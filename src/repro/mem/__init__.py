@@ -6,22 +6,9 @@ directories that interleave physical memory at cache-line granularity,
 and a single-ported main memory.
 """
 
-from .address import AddressMap, WORD_BYTES
-from .bus import Bus
-from .cache import L1Cache, CacheLineState
-from .directory import Directory
-from .memory import MainMemory
-from .messages import (
-    FillRequest,
-    FillReply,
-    FlushRequest,
-    FlushDone,
-    Invalidation,
-    StopClock,
-    TurnOn,
-    TxInfoReq,
-    TxInfoReply,
-)
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "AddressMap",
@@ -41,3 +28,23 @@ __all__ = [
     "TxInfoReq",
     "TxInfoReply",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".address": ("AddressMap", "WORD_BYTES"),
+    ".bus": ("Bus",),
+    ".cache": ("L1Cache", "CacheLineState"),
+    ".directory": ("Directory",),
+    ".memory": ("MainMemory",),
+    ".messages": (
+        "FillRequest", "FillReply", "FlushRequest", "FlushDone",
+        "Invalidation", "StopClock", "TurnOn", "TxInfoReq", "TxInfoReply",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

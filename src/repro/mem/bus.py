@@ -120,22 +120,6 @@ class Bus:
             self._c_queue_cycles.value += depart - now
         return arrival
 
-    def _send(self, occupancy: int, fn: Callable[..., Any], *args: Any) -> int:
-        """Generic send at an explicit occupancy (tests / cold paths)."""
-        engine = self._engine
-        now = engine.now
-        busy = self._busy_until
-        depart = busy if busy > now else now
-        self._busy_until = busy = depart + occupancy
-        arrival = busy + self._wire_latency
-        engine.schedule_at(arrival, fn, *args)
-
-        self._c_messages.value += 1
-        self._c_busy_cycles.value += occupancy
-        if depart > now:
-            self._c_queue_cycles.value += depart - now
-        return arrival
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Free the bus (the only mutable state is the reservation)."""

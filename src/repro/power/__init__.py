@@ -10,20 +10,9 @@
 * :mod:`~repro.power.report` — human-readable energy reports.
 """
 
-from .states import ProcState, LOW_POWER_STATES_GATED, LOW_POWER_STATES_UNGATED
-from .model import PowerModel, PowerModelParams
-from .energy import (
-    EnergyBreakdown,
-    IntervalBreakdown,
-    direct_energy,
-    interval_breakdown,
-    energy_from_intervals,
-    energy_reduction,
-    average_power_reduction,
-    compute_energy,
-)
-from .cacti import CactiCacheModel, tcc_cache_power_curve, tcc_total_power_factor
-from .report import EnergyReport, format_energy_report
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "ProcState",
@@ -45,3 +34,29 @@ __all__ = [
     "EnergyReport",
     "format_energy_report",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".states": (
+        "ProcState", "LOW_POWER_STATES_GATED", "LOW_POWER_STATES_UNGATED",
+    ),
+    ".model": ("PowerModel", "PowerModelParams"),
+    ".breakdown": (
+        "EnergyBreakdown", "energy_reduction", "average_power_reduction",
+    ),
+    ".energy": (
+        "IntervalBreakdown", "direct_energy", "interval_breakdown",
+        "energy_from_intervals", "compute_energy",
+    ),
+    ".cacti": (
+        "CactiCacheModel", "tcc_cache_power_curve", "tcc_total_power_factor",
+    ),
+    ".report": ("EnergyReport", "format_energy_report"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import (
+from .breakdown import (
     EnergyBreakdown,
     average_power_reduction,
     energy_reduction,

@@ -19,19 +19,14 @@ The scenario layer turns evaluation matrices into *data*:
 
 from __future__ import annotations
 
-from .builtin import available_suites, get_suite, register_suite, suite_help
-from .runner import (
-    PlanEntry,
-    ScenarioResult,
-    Shard,
-    SuitePlan,
-    SuiteRun,
-    plan_suite,
-    run_specs,
-    run_suite,
-)
-from .spec import SCENARIO_SCHEMA_VERSION, ScenarioSpec, scenario
-from .suite import ScenarioSuite, SpecListSuite, load_suite_file, suite
+from typing import Any
+
+from .. import _lazy
+
+# ``suite`` names both a submodule and the function it defines: bind
+# the function eagerly, once the submodule has loaded, so a later
+# ``import repro.scenarios.suite`` cannot rebind it (see repro._lazy).
+from .suite import suite
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
@@ -54,3 +49,23 @@ __all__ = [
     "register_suite",
     "suite_help",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".builtin": (
+        "available_suites", "get_suite", "register_suite", "suite_help",
+    ),
+    ".runner": (
+        "PlanEntry", "ScenarioResult", "Shard", "SuitePlan", "SuiteRun",
+        "plan_suite", "run_specs", "run_suite",
+    ),
+    ".spec": ("SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "scenario"),
+    ".suite": ("ScenarioSuite", "SpecListSuite", "load_suite_file"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..config import DEFAULT_W0_VALUES
 from ..errors import WorkloadError
-from ..harness.sweep import DEFAULT_W0_VALUES
 from ..workloads.registry import PAPER_APPS, STAMP_APPS
 from .spec import ScenarioSpec
 from .suite import ScenarioSuite, suite

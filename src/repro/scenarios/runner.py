@@ -163,7 +163,7 @@ class SuiteRun:
         # Lazy: repro.figures builds on the scenario layer; importing it
         # here (like the harness sweep does for scenarios) avoids a cycle.
         from ..figures.extract import pair_results
-        from ..power.energy import average_power_reduction, energy_reduction
+        from ..power.breakdown import average_power_reduction, energy_reduction
 
         rows = []
         for gated, baseline in pair_results(self.results):

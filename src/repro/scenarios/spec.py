@@ -36,7 +36,7 @@ from ..errors import WorkloadError
 from ..exec.serialize import canonical_json
 from ..harness.runner import WorkloadSpec
 from ..power.model import PowerModel
-from ..workloads.base import SCALES
+from ..workloads.catalog import SCALES
 
 __all__ = ["SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "scenario"]
 

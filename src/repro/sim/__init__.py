@@ -8,11 +8,9 @@ the energy model (:mod:`~repro.sim.timeline`), statistic counters
 (:mod:`~repro.sim.trace`).
 """
 
-from .engine import Engine, Event
-from .timeline import StateTimeline, Segment
-from .stats import Counter, Histogram, StatsRegistry
-from .rng import spawn_rngs, derive_seed
-from .trace import TraceRecorder, TraceEvent, NullTrace
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "Engine",
@@ -28,3 +26,19 @@ __all__ = [
     "TraceEvent",
     "NullTrace",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".engine": ("Engine", "Event"),
+    ".timeline": ("StateTimeline", "Segment"),
+    ".stats": ("Counter", "Histogram", "StatsRegistry"),
+    ".rng": ("spawn_rngs", "derive_seed"),
+    ".trace": ("TraceRecorder", "TraceEvent", "NullTrace"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

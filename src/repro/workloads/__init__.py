@@ -29,21 +29,9 @@ Each builder registers a typed parameter schema
 rejected by name before anything is simulated.
 """
 
-from .base import MemoryLayout, WorkloadInstance, Scale, SCALES
-from .registry import (
-    available_workloads,
-    build_workload,
-    register_workload,
-    workload_schema,
-)
-from .schema import Param, WorkloadSchema
-from .genome import build_genome
-from .intruder import build_intruder
-from .yada import build_yada
-from .kmeans import build_kmeans
-from .vacation import build_vacation
-from .labyrinth import build_labyrinth
-from .micro import build_counter, build_bank, build_array_walk, build_llist
+from typing import Any
+
+from .. import _lazy
 
 __all__ = [
     "MemoryLayout",
@@ -67,3 +55,30 @@ __all__ = [
     "build_array_walk",
     "build_llist",
 ]
+
+_EXPORTS: _lazy.Exports = {
+    ".base": ("MemoryLayout", "WorkloadInstance"),
+    ".catalog": ("Scale", "SCALES"),
+    ".registry": (
+        "available_workloads", "build_workload", "register_workload",
+        "workload_schema",
+    ),
+    ".schema": ("Param", "WorkloadSchema"),
+    ".genome": ("build_genome",),
+    ".intruder": ("build_intruder",),
+    ".yada": ("build_yada",),
+    ".kmeans": ("build_kmeans",),
+    ".vacation": ("build_vacation",),
+    ".labyrinth": ("build_labyrinth",),
+    ".micro": (
+        "build_counter", "build_bank", "build_array_walk", "build_llist",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(__name__, _EXPORTS)

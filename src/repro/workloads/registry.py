@@ -17,41 +17,43 @@ matrices without running a single simulation.
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import WorkloadError
-from .base import WorkloadInstance
-from .genome import GENOME_SCHEMA, build_genome
-from .intruder import INTRUDER_SCHEMA, build_intruder
-from .kmeans import KMEANS_SCHEMA, build_kmeans
-from .labyrinth import LABYRINTH_SCHEMA, build_labyrinth
-from .micro import (
+from .catalog import (
     ARRAY_WALK_SCHEMA,
     BANK_SCHEMA,
     COUNTER_SCHEMA,
+    GENOME_SCHEMA,
+    INTRUDER_SCHEMA,
+    KMEANS_SCHEMA,
+    LABYRINTH_SCHEMA,
     LLIST_SCHEMA,
-    build_array_walk,
-    build_bank,
-    build_counter,
-    build_llist,
+    VACATION_SCHEMA,
+    YADA_SCHEMA,
 )
 from .schema import WorkloadSchema
-from .vacation import VACATION_SCHEMA, build_vacation
-from .yada import YADA_SCHEMA, build_yada
+
+if TYPE_CHECKING:  # builders import numpy; the registry does not
+    from .base import WorkloadInstance
 
 __all__ = [
     "available_workloads",
     "build_workload",
     "register_workload",
+    "workload_builder",
     "workload_schema",
     "workload_seed_invariant",
 ]
 
-Builder = Callable[..., WorkloadInstance]
+Builder = Callable[..., "WorkloadInstance"]
 
 #: name -> (builder, schema, seed_invariant); one dict so they can
-#: never drift apart
-_REGISTRY: dict[str, tuple[Builder, WorkloadSchema, bool]] = {}
+#: never drift apart.  A built-in's builder is first the name of its
+#: module, imported by the first build (builders import numpy and the
+#: HTM program layer; schemas do not).
+_REGISTRY: dict[str, tuple[Builder | str, WorkloadSchema, bool]] = {}
 
 #: the paper's evaluation applications, in its presentation order
 PAPER_APPS: tuple[str, ...] = ("genome", "yada", "intruder")
@@ -69,7 +71,7 @@ def available_workloads() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _lookup(name: str) -> tuple[Builder, WorkloadSchema, bool]:
+def _lookup(name: str) -> tuple[Builder | str, WorkloadSchema, bool]:
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -115,6 +117,16 @@ def workload_schema(name: str) -> WorkloadSchema:
     return _lookup(name)[1]
 
 
+def workload_builder(name: str) -> Builder:
+    """The named workload's builder; a built-in's module is imported
+    here, on first use."""
+    builder = _lookup(name)[0]
+    if isinstance(builder, str):  # a built-in: its module holds build_<name>
+        builder = getattr(importlib.import_module(builder, __package__),
+                          f"build_{name}")
+    return builder
+
+
 def workload_seed_invariant(name: str) -> bool:
     """Whether the named workload's build ignores the seed (see
     :func:`register_workload`)."""
@@ -129,26 +141,27 @@ def build_workload(
     **overrides,
 ) -> WorkloadInstance:
     """Build the named workload, validating overrides against its schema."""
-    builder, schema, _ = _lookup(name)
-    overrides = schema.validate(overrides)
-    return builder(num_threads, scale=scale, seed=seed, **overrides)
+    overrides = workload_schema(name).validate(overrides)
+    return workload_builder(name)(
+        num_threads, scale=scale, seed=seed, **overrides
+    )
 
 
 # seed_invariant=True only for builders that provably never read `seed`:
 # counter and array_walk touch it solely to stamp the instance (their
 # programs are deterministic in (threads, scale) alone).  Every other
 # builder draws build-time RNG or closes over the seed at run time.
-for _name, _builder, _schema, _seedless in (
-    ("genome", build_genome, GENOME_SCHEMA, False),
-    ("yada", build_yada, YADA_SCHEMA, False),
-    ("intruder", build_intruder, INTRUDER_SCHEMA, False),
-    ("kmeans", build_kmeans, KMEANS_SCHEMA, False),
-    ("vacation", build_vacation, VACATION_SCHEMA, False),
-    ("labyrinth", build_labyrinth, LABYRINTH_SCHEMA, False),
-    ("counter", build_counter, COUNTER_SCHEMA, True),
-    ("bank", build_bank, BANK_SCHEMA, False),
-    ("array_walk", build_array_walk, ARRAY_WALK_SCHEMA, True),
-    ("llist", build_llist, LLIST_SCHEMA, False),
+for _name, _module, _schema, _seedless in (
+    ("genome", ".genome", GENOME_SCHEMA, False),
+    ("yada", ".yada", YADA_SCHEMA, False),
+    ("intruder", ".intruder", INTRUDER_SCHEMA, False),
+    ("kmeans", ".kmeans", KMEANS_SCHEMA, False),
+    ("vacation", ".vacation", VACATION_SCHEMA, False),
+    ("labyrinth", ".labyrinth", LABYRINTH_SCHEMA, False),
+    ("counter", ".micro", COUNTER_SCHEMA, True),
+    ("bank", ".micro", BANK_SCHEMA, False),
+    ("array_walk", ".micro", ARRAY_WALK_SCHEMA, True),
+    ("llist", ".micro", LLIST_SCHEMA, False),
 ):
-    register_workload(_name, _builder, _schema, seed_invariant=_seedless)
-del _name, _builder, _schema, _seedless
+    _REGISTRY[_name] = (_module, _schema, _seedless)
+del _name, _module, _schema, _seedless

@@ -5,10 +5,9 @@ from __future__ import annotations
 import csv
 import io
 
-import networkx as nx
 import pytest
 
-from repro.analysis.conflicts import abort_graph, conflict_stats
+from repro.analysis.conflicts import AbortGraph, abort_graph, conflict_stats
 from repro.analysis.gating import extract_episodes, gating_summary
 from repro.analysis.runreport import run_report
 from repro.analysis.timelines import state_shares, timelines_to_csv
@@ -45,9 +44,9 @@ class TestAbortGraph:
     def test_graph_structure(self, traced_run):
         _, trace = traced_run
         graph = abort_graph(trace)
-        assert isinstance(graph, nx.DiGraph)
-        assert graph.number_of_edges() > 0
-        total = sum(d["weight"] for _, _, d in graph.edges(data=True))
+        assert isinstance(graph, AbortGraph)
+        assert graph.edges
+        total = sum(graph.edges.values())
         assert total == len(
             [e for e in trace.events("tx.abort") if e.payload.get("aborter") is not None]
         )
@@ -55,7 +54,7 @@ class TestAbortGraph:
     def test_empty_graph_for_quiet_run(self, quiet_run):
         _, trace = quiet_run
         graph = abort_graph(trace)
-        assert graph.number_of_edges() == 0
+        assert graph.edges == {}
 
     def test_reciprocity_metric(self):
         """Reciprocity counts mutual abort pairs (synthetic trace)."""
@@ -71,7 +70,8 @@ class TestAbortGraph:
         trace = TraceRecorder()
         trace.emit(1, "tx.abort", proc=3, aborter=None, cause="self", site="s")
         graph = abort_graph(trace)
-        assert graph.nodes[3]["self_aborts"] == 1
+        assert graph.self_aborts == {3: 1}
+        assert graph.edges == {}
 
 
 class TestConflictStats:
