@@ -55,16 +55,17 @@ rm -rf "$CACHE_DIR"
 echo "smoke OK: sweep + suite cached end-to-end, zero re-executions"
 
 echo "== smoke: replicate packs vs per-process (store digest identity) =="
-# A seed family (same spec, four seeds) through the pool executor with
-# replicate packing on and off: the two result stores must hold exactly
-# the same digest-keyed records.
+# Two seed families (counter and bank, five seeds each) through the
+# pool executor with replicate packing on and off.  On two workers each
+# family runs as stripes of 3 and 2 seeds.  The two result stores must
+# hold exactly the same digest-keyed records.
 PACK_SUITE=$(mktemp /tmp/smoke_packs_XXXX.json)
 cat > "$PACK_SUITE" <<'JSON'
 {
   "name": "smoke-packs",
   "description": "seed replicates for the pack identity check",
   "base": {"workload": "counter", "scale": "tiny", "threads": 2},
-  "axes": [["seed", [1, 2, 3, 4]]]
+  "axes": [["workload", ["counter", "bank"]], ["seed", [1, 2, 3, 4, 5]]]
 }
 JSON
 PACKS_ON_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-packs-on
@@ -76,13 +77,14 @@ python -m repro suite run --file "$PACK_SUITE" --jobs 2 --no-packs \
   --cache-dir "$PACKS_OFF_DIR" >/dev/null
 on_digests=$(python -m repro exec-status --cache-dir "$PACKS_ON_DIR" --digests)
 off_digests=$(python -m repro exec-status --cache-dir "$PACKS_OFF_DIR" --digests)
-[ -n "$on_digests" ] || { echo "smoke FAILED: pack run stored nothing"; exit 1; }
+[ "$(echo "$on_digests" | wc -l)" -eq 10 ] || {
+  echo "smoke FAILED: pack run did not store all 10 results"; exit 1; }
 [ "$on_digests" = "$off_digests" ] || {
   echo "smoke FAILED: pack-on and pack-off stores diverge"; exit 1; }
 echo "smoke OK: replicate packs store digest-identical results"
 
 echo "== smoke: machine reset-reuse vs rebuild (store digest identity) =="
-# The same seed family with the pack warm path disabled: every member
+# The same seed families with the pack warm path disabled: every member
 # rebuilds its machine from scratch.  Stores must match the reset-reuse
 # run digest for digest.
 RESET_OFF_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-reset-off

@@ -17,11 +17,12 @@ submission order, through three stages:
    path produces bit-identical numbers to the serial path, and result
    ordering never depends on completion order.  On the pool path, jobs
    that differ only in their seeds are grouped into *replicate packs*
-   (:mod:`repro.exec.jobs`): one warmed worker process runs the whole
-   seed family back to back instead of paying one dispatch round-trip
-   per job.  Packing never changes results — every member still runs
-   the plain ``execute_job`` path and lands under its own digest — and
-   can be disabled with ``packs=False`` / ``--no-packs`` /
+   (:mod:`repro.exec.jobs`), one contiguous stripe per worker: a warmed
+   worker runs its stripe back to back instead of paying one dispatch
+   round-trip per job, and no worker idles while another finishes a
+   family alone.  Packing never changes results — every member still
+   runs the plain ``execute_job`` path and lands under its own digest —
+   and can be disabled with ``packs=False`` / ``--no-packs`` /
    ``REPRO_NO_PACKS=1``.
 
 Every ``run`` leaves a :class:`BatchReport` on
@@ -74,9 +75,6 @@ NO_PACKS_ENV = "REPRO_NO_PACKS"
 
 #: a pack smaller than this is not worth a grouped dispatch
 MIN_PACK_SIZE = 2
-
-#: never split a pack below this size when balancing across workers
-MIN_PACK_SPLIT = 4
 
 
 def packs_enabled_from_env() -> bool:
@@ -379,6 +377,7 @@ class Executor:
             self.store.put(digest, result, job=job)
         recorder.note_job_seconds(seconds)
         if recorder.enabled:
+            counters = _span_counters(result)
             recorder.complete_span(
                 "job",
                 seconds,
@@ -387,8 +386,12 @@ class Executor:
                 workload=job.spec.name,
                 worker_pid=pid,
                 cached=False,
-                counters=_span_counters(result),
+                counters=counters,
             )
+            # run-level roll-up: the manifest's counters total every
+            # executed job's tx/gating activity
+            for name, value in counters.items():
+                recorder.count(name, value)
             # run-level flush-batch tally: how many batched commit
             # flushes the directories serviced across every executed
             # job (the per-flush line distribution lives sim-side in
@@ -465,33 +468,27 @@ class Executor:
         """Group pending jobs into pool dispatch units.
 
         With packing on, jobs sharing a :func:`replicate_key` (same
-        spec, different seeds) form one unit; everything else stays a
-        singleton.  Oversized packs are split while fewer units than
-        workers exist, so a batch that is one big seed family still
-        fans across the whole pool.  Grouping is deterministic in
+        spec, different seeds) form one pack; everything else stays a
+        singleton.  Each pack is cut into ``min(workers, len(pack) //
+        MIN_PACK_SIZE)`` contiguous stripes whose sizes differ by at
+        most one, larger stripes first.  Families keep their
+        first-occurrence order and a family's stripes stay adjacent, so
+        the pool's queue hands them to different workers and the load
+        balances family by family.  Grouping is deterministic in
         submission order — it only changes *where* jobs run, never what
         any of them computes.
         """
         if not self.packs:
             return [[entry] for entry in pending]
         groups: dict[str, list[tuple[str, RunJob]]] = {}
-        order: list[str] = []
         for digest, job in pending:
-            key = replicate_key(job)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((digest, job))
-        units = [groups[key] for key in order]
-        # keep every worker busy: halve the largest splittable pack
-        # until there are enough units (or nothing left worth splitting)
-        while len(units) < workers:
-            largest = max(units, key=len)
-            if len(largest) < MIN_PACK_SPLIT:
-                break
-            at = units.index(largest)
-            half = len(largest) // 2
-            units[at:at + 1] = [largest[:half], largest[half:]]
+            groups.setdefault(replicate_key(job), []).append((digest, job))
+        units: list[list[tuple[str, RunJob]]] = []
+        for pack in groups.values():
+            stripes = max(1, min(workers, len(pack) // MIN_PACK_SIZE))
+            size, extra = divmod(len(pack), stripes)
+            cuts = [i * size + min(i, extra) for i in range(stripes + 1)]
+            units += [pack[a:b] for a, b in zip(cuts, cuts[1:])]
         return units
 
     def _land_pack(

@@ -360,7 +360,12 @@ class TestReplicatePacks:
         assert all(replicate_key(job) not in family for job in strangers)
 
     def test_pack_results_match_per_process_bit_for_bit(self):
-        jobs = self.seed_family() + [tiny_job("intruder")]
+        # two families of an odd seed count: stripes of 3 and 2 each
+        jobs = [
+            tiny_job(name, seed=seed)
+            for name in ("counter", "bank")
+            for seed in range(1, 6)
+        ] + [tiny_job("intruder")]
         packed = Executor(jobs=2, packs=True).run(jobs)
         unpacked = Executor(jobs=2, packs=False).run(jobs)
         serial = Executor(jobs=1).run(jobs)
@@ -445,6 +450,71 @@ class TestReplicatePacks:
         # packs off: one singleton per job, in submission order
         exe_off = Executor(jobs=4, packs=False)
         assert [len(u) for u in exe_off._dispatch_units(pending, 4)] == [1] * 8
+
+    #: per-member cost of each pool family, in arbitrary units
+    POOL_COSTS = {"genome": 33, "intruder": 27, "counter": 14, "bank": 27}
+
+    def pool_batch(self) -> list[tuple[str, RunJob]]:
+        """The 4 families x 32 seeds batch, family by family."""
+        jobs = [
+            tiny_job(name, seed=seed)
+            for name in self.POOL_COSTS
+            for seed in range(1, 33)
+        ]
+        return [(job.digest, job) for job in jobs]
+
+    def test_dispatch_units_stripe_every_family(self):
+        pending = self.pool_batch()
+        units = Executor(jobs=2, packs=True)._dispatch_units(pending, 2)
+        assert [len(unit) for unit in units] == [16] * 8
+        # family order kept, each family's two stripes adjacent
+        assert [unit[0][1].spec.name for unit in units] == [
+            name for name in self.POOL_COSTS for _stripe in range(2)
+        ]
+        assert all(
+            len({job.spec.name for _digest, job in unit}) == 1
+            for unit in units
+        )
+        # flattened, the units replay the submission order exactly
+        assert [entry for unit in units for entry in unit] == pending
+
+    def test_dispatch_units_stripe_sizes(self):
+        exe = Executor(jobs=4, packs=True)
+
+        def sizes(count: int, workers: int) -> list[int]:
+            pending = [(job.digest, job) for job in self.seed_family(count)]
+            return [len(u) for u in exe._dispatch_units(pending, workers)]
+
+        assert sizes(5, 2) == [3, 2]
+        assert sizes(3, 4) == [3]  # 3 // MIN_PACK_SIZE: one stripe only
+        assert sizes(2, 2) == [2]
+        assert sizes(1, 2) == [1]
+        # singletons of other specs stay singletons, in submission order
+        strangers = [tiny_job(procs=4), tiny_job("intruder")]
+        pending = [(job.digest, job) for job in strangers]
+        assert exe._dispatch_units(pending, 2) == [[e] for e in pending]
+
+    def test_stripes_balance_the_pool_makespan(self):
+        """List-schedule the units on 2 workers: striped dispatch ends
+        at half the total cost, whole-pack dispatch does not."""
+        import heapq
+
+        def makespan(units) -> int:
+            free = [(0, worker) for worker in range(2)]
+            for unit in units:
+                at, worker = heapq.heappop(free)
+                cost = sum(self.POOL_COSTS[job.spec.name] for _d, job in unit)
+                heapq.heappush(free, (at + cost, worker))
+            return max(at for at, _worker in free)
+
+        pending = self.pool_batch()
+        exe = Executor(jobs=2, packs=True)
+        total = sum(self.POOL_COSTS[job.spec.name] for _d, job in pending)
+        assert total == 3232
+        assert makespan(exe._dispatch_units(pending, 2)) == total // 2
+        # one whole pack per family (the 1-worker split) runs genome and
+        # then bank on one worker: 1056 + 864
+        assert makespan(exe._dispatch_units(pending, 1)) == 1920
 
     def test_no_packs_environment_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_PACKS", "1")

@@ -384,6 +384,23 @@ class TestExecutorObservability:
         manifest = load_manifest(tmp_path / "obs", rec.run_id)
         assert manifest["counters"]["dir.flush_batches"] == expected
 
+    def test_sim_counters_roll_up_into_the_manifest(self, tmp_path):
+        """The manifest totals every executed job's tx/gating counters."""
+        rec = obs.configure(tmp_path / "obs", export_env=False)
+        results = Executor(store=ResultStore(tmp_path / "store")).run(
+            [tiny_job(), tiny_job(gated=False)]
+        )
+        rec.close()
+
+        counters = load_manifest(tmp_path / "obs", rec.run_id)["counters"]
+        commits = sum(result.commits for result in results)
+        assert commits > 0
+        assert counters["tx.commits"] == commits
+        assert counters["gating.gated"] == sum(
+            result.counters.get("gating.gated", 0) for result in results
+        )
+        assert counters["gating.gated"] > 0  # the gated job really gated
+
     def test_pack_spans_carry_replicate_attrs(self, tmp_path):
         """A pooled seed family lands one pack span per dispatch unit."""
         rec = obs.configure(tmp_path / "obs", export_env=False)
