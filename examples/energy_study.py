@@ -13,44 +13,56 @@ Usage::
 
 import argparse
 
-from repro.harness.experiments import EvaluationSuite
+from repro.figures import FigureParams, eval_grid_suite
+from repro.figures.extract import (
+    comparisons_from_results,
+    fig4_rows,
+    fig5_rows,
+    fig6_rows,
+    headline_from_comparisons,
+)
 from repro.harness.reporting import format_table
+from repro.scenarios import run_specs
+from repro.workloads.registry import PAPER_PROCS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="small", choices=("tiny", "small", "medium"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--procs", type=int, nargs="+", default=[4, 8, 16])
+    parser.add_argument("--procs", type=int, nargs="+", default=list(PAPER_PROCS))
     args = parser.parse_args()
 
-    suite = EvaluationSuite(scale=args.scale, seed=args.seed,
-                            procs=tuple(args.procs))
+    params = FigureParams(scale=args.scale, seed=args.seed,
+                          procs=tuple(args.procs))
     print(f"Running 3 apps x {args.procs} processors x 2 gating modes "
           f"(scale={args.scale})...")
-    suite.run_all()
+    comparisons = comparisons_from_results(
+        run_specs(eval_grid_suite(params).expand())
+    )
+    apps, procs = params.apps, params.procs
 
     print()
     print(format_table(
         ["app", "procs", "N1", "N2", "speed-up"],
-        suite.fig4_rows(),
+        fig4_rows(comparisons, apps, procs),
         title="Fig. 4 — Total parallel execution time",
     ))
     print()
     print(format_table(
         ["app", "procs", "Eug", "Eg", "energy reduction"],
         [(a, p, round(eu, 1), round(eg, 1), r)
-         for a, p, eu, eg, r in suite.fig5_rows()],
+         for a, p, eu, eg, r in fig5_rows(comparisons, apps, procs)],
         title="Fig. 5 — Energy consumption",
     ))
     print()
     print(format_table(
         ["app", "procs", "avgP ungated", "avgP gated", "power reduction"],
-        suite.fig6_rows(),
+        fig6_rows(comparisons, apps, procs),
         title="Fig. 6 — Average power dissipation",
     ))
 
-    headline = suite.headline()
+    headline = headline_from_comparisons(comparisons, apps, procs)
     print()
     print("Section VIII averages over the grid "
           f"({int(headline['points'])} points):")

@@ -54,6 +54,16 @@ rm -f cold.err warm.err suite_cold.err suite_warm.err
 rm -rf "$CACHE_DIR"
 echo "smoke OK: sweep + suite cached end-to-end, zero re-executions"
 
+echo "== smoke: examples =="
+python examples/energy_study.py --scale tiny --procs 2 >/dev/null
+EXAMPLE_CACHE=$(mktemp -d /tmp/smoke_example_XXXX)
+example=$(python examples/parallel_sweep.py --procs 2 --jobs 2 \
+  --cache-dir "$EXAMPLE_CACHE" 2>/dev/null)
+rm -rf "$EXAMPLE_CACHE"
+echo "$example" | grep -q "^warm: executed 0 of" || {
+  echo "smoke FAILED: parallel_sweep warm pass re-executed"; exit 1; }
+echo "smoke OK: examples run"
+
 echo "== smoke: replicate packs vs per-process (store digest identity) =="
 # Two seed families (counter and bank, five seeds each) through the
 # pool executor with replicate packing on and off.  On two workers each

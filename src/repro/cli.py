@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="regenerate Figs. 4-6 + averages")
     _add_common(p_eval)
     _add_exec(p_eval)
-    p_eval.add_argument("--grid", type=int, nargs="+", default=[4, 8, 16],
-                        help="processor counts (default 4 8 16)")
+    p_eval.add_argument("--grid", type=int, nargs="+",
+                        help="processor counts (default: the paper's "
+                             "4 8 16)")
 
     p_sweep = sub.add_parser("sweep", help="Fig. 7 W0 sensitivity")
     p_sweep.add_argument("workload")
@@ -475,26 +476,37 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from .harness.experiments import EvaluationSuite
-
-    suite = EvaluationSuite(
-        scale=args.scale, seed=args.seed, procs=tuple(args.grid), w0=args.w0,
-        executor=_executor(args),
+    from .figures import FigureParams, eval_grid_suite
+    from .figures.extract import (
+        comparisons_from_results, fig4_rows, fig5_rows, fig6_rows,
+        headline_from_comparisons,
     )
-    suite.run_all()
+    from .scenarios.runner import run_specs
+    from .workloads.registry import PAPER_PROCS
+
+    params = FigureParams(
+        scale=args.scale, seed=args.seed, w0=args.w0, cm=args.cm,
+        procs=tuple(args.grid or PAPER_PROCS),
+    )
+    comparisons = comparisons_from_results(
+        run_specs(eval_grid_suite(params).expand(), executor=_executor(args))
+    )
+    apps, procs = params.apps, params.procs
     print(format_table(["app", "procs", "N1", "N2", "speed-up"],
-                       suite.fig4_rows(), title="Fig. 4 — execution time"))
+                       fig4_rows(comparisons, apps, procs),
+                       title="Fig. 4 — execution time"))
     print()
     print(format_table(
         ["app", "procs", "Eug", "Eg", "energy reduction"],
         [(a, p, round(eu, 1), round(eg, 1), r)
-         for a, p, eu, eg, r in suite.fig5_rows()],
+         for a, p, eu, eg, r in fig5_rows(comparisons, apps, procs)],
         title="Fig. 5 — energy",
     ))
     print()
     print(format_table(["app", "procs", "avgP ug", "avgP g", "power red."],
-                       suite.fig6_rows(), title="Fig. 6 — average power"))
-    headline = suite.headline()
+                       fig6_rows(comparisons, apps, procs),
+                       title="Fig. 6 — average power"))
+    headline = headline_from_comparisons(comparisons, apps, procs)
     print()
     print(f"averages over {int(headline['points'])} points: "
           f"speed-up {headline['average_speedup_pct']:+.1f}%, "
@@ -840,7 +852,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_cache_power(_args: argparse.Namespace) -> int:
     from .power.cacti import (
-        FIG3_CACHE_SIZES_KB, tcc_cache_power_curve, tcc_total_power_factor,
+        FIG3_CACHE_SIZES_KB, FIG3_GRANULARITIES, tcc_cache_power_curve,
+        tcc_total_power_factor,
     )
 
     values = {
@@ -849,7 +862,7 @@ def _cmd_cache_power(_args: argparse.Namespace) -> int:
     }
     print(format_matrix(
         [f"{s}KB" for s in FIG3_CACHE_SIZES_KB],
-        [64, 32, 16, 8, 4, 2, 1],
+        FIG3_GRANULARITIES,
         values,
         corner="cache \\ B/RW-bit",
         title="Fig. 3 — normalized TCC data-cache power",

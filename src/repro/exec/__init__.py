@@ -29,11 +29,12 @@ Quickstart::
     results = exe.run(jobs)           # parallel, cached, in order
     print(exe.last_report.summary())
 
-The harness layers (:mod:`repro.harness.sweep`,
-:mod:`repro.harness.compare`, :mod:`repro.harness.experiments`) accept
-an ``executor=`` argument and submit through this subsystem; the CLI
-exposes it as ``--jobs N``, ``--cache-dir PATH``, ``--no-cache`` and
-the ``exec-status`` subcommand.
+The harness entry points (:mod:`repro.harness.sweep`,
+:mod:`repro.harness.compare`) and the scenario runner
+(:mod:`repro.scenarios.runner`) accept an ``executor=`` argument and
+submit through this subsystem; the CLI exposes it as ``--jobs N``,
+``--cache-dir PATH``, ``--no-cache`` and the ``exec-status``
+subcommand.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ merged from many shard hosts identically.
 This module is also the single home of the row derivations the paper's
 figures need — the gated/ungated pairing, the Fig. 4–6 row shapes, the
 Fig. 7 speed-up matrix, and the Section VIII headline averages.
-:class:`~repro.harness.experiments.EvaluationSuite`, the benchmark
-modules and :meth:`~repro.scenarios.runner.SuiteRun.paired_rows` all
-delegate here instead of keeping private copies.
+``repro evaluate``, :func:`~repro.harness.sweep.w0_sensitivity`, the
+benchmark modules and :meth:`~repro.scenarios.runner.SuiteRun.
+paired_rows` all delegate here instead of keeping private copies.
 
 Versioning: every registered extractor carries an integer version that
 enters the figure content digest — bump it when an extractor's output
@@ -42,6 +42,7 @@ __all__ = [
     "get_extractor",
     "extractor_version",
     "pair_results",
+    "paired_comparisons",
     "comparisons_from_results",
     "fig4_rows",
     "fig5_rows",
@@ -164,6 +165,25 @@ def pair_results(
     return pairs
 
 
+def paired_comparisons(
+    results: Sequence["ScenarioResult"],
+) -> list[tuple["ScenarioSpec", GatingComparison]]:
+    """(gated spec, :class:`GatingComparison`) per :func:`pair_results`
+    pair — the paper's three metrics for every gated scenario."""
+    return [
+        (
+            gated.spec,
+            GatingComparison(
+                workload=gated.spec.workload,
+                num_procs=gated.spec.threads,
+                ungated=baseline.result,
+                gated=gated.result,
+            ),
+        )
+        for gated, baseline in pair_results(results)
+    ]
+
+
 def comparisons_from_results(
     results: Sequence["ScenarioResult"],
 ) -> dict[tuple[str, int], GatingComparison]:
@@ -174,19 +194,14 @@ def comparisons_from_results(
     overwrite each other, so duplicates raise.
     """
     comparisons: dict[tuple[str, int], GatingComparison] = {}
-    for gated, baseline in pair_results(results):
-        key = (gated.spec.workload, gated.spec.threads)
+    for spec, comparison in paired_comparisons(results):
+        key = (spec.workload, spec.threads)
         if key in comparisons:
             raise FigureError(
                 f"multiple gated runs for evaluation point {key}; "
                 f"use fig7_speedup_matrix for W0 sweeps"
             )
-        comparisons[key] = GatingComparison(
-            workload=gated.spec.workload,
-            num_procs=gated.spec.threads,
-            ungated=baseline.result,
-            gated=gated.result,
-        )
+        comparisons[key] = comparison
     return comparisons
 
 
@@ -254,12 +269,10 @@ def fig7_speedup_matrix(
     w0_values: Sequence[int],
 ) -> dict[str, dict[int, dict[int, float]]]:
     """``{app: {num_procs: {w0: speed-up}}}`` — Fig. 7, from suite results."""
-    speedups: dict[tuple[str, int, int], float] = {}
-    for gated, baseline in pair_results(results):
-        key = (gated.spec.workload, gated.spec.threads, gated.spec.w0)
-        speedups[key] = (
-            baseline.result.parallel_time / gated.result.parallel_time
-        )
+    speedups = {
+        (spec.workload, spec.threads, spec.w0): comparison.speedup
+        for spec, comparison in paired_comparisons(results)
+    }
     matrix: dict[str, dict[int, dict[int, float]]] = {}
     for app in apps:
         matrix[app] = {}

@@ -20,7 +20,9 @@ Figs. 4–6 and the headline averages share ONE suite (the paper derives
 them from the same simulations), and the Fig. 7 grid shares its
 ungated baselines and W0 = 8 gated runs with it by job-digest dedup —
 so a full ``repro figures build`` plans all suites together and
-simulates each unique job exactly once.
+simulates each unique job exactly once.  Both grids are defined once,
+in :mod:`repro.scenarios.builtin`; :func:`eval_grid_suite` and
+:func:`w0_grid_suite` only map :class:`FigureParams` onto them.
 
 ``register_figure`` accepts user-defined specs (see
 ``examples/figures_pipeline.py``); registration order is presentation
@@ -30,8 +32,8 @@ order.
 from __future__ import annotations
 
 from ..errors import FigureError
-from ..scenarios.spec import ScenarioSpec
-from ..scenarios.suite import ScenarioSuite, suite
+from ..scenarios.builtin import paper_eval_suite, paper_fig7_suite
+from ..scenarios.suite import ScenarioSuite
 from .perftrend import bench_fingerprint  # registers the extractor too
 from .spec import FigureParams, FigureSpec
 
@@ -45,60 +47,20 @@ __all__ = [
 ]
 
 
-def _grid_base(params: FigureParams) -> ScenarioSpec:
-    return ScenarioSpec(
-        workload=params.apps[0],
-        scale=params.scale,
-        threads=params.procs[0],
-        seed=params.seed,
-        w0=params.w0,
-        cm=params.cm,
-    )
-
-
 def eval_grid_suite(params: FigureParams) -> ScenarioSuite:
-    """The Figs. 4–6 grid: every (app × procs) point, both gating modes.
-
-    Axis order (workload, threads, gating) matches the built-in
-    ``paper-eval`` suite and :class:`~repro.harness.experiments.
-    EvaluationSuite`, so all three lower to identical job batches and
-    share one result store.
-    """
-    return suite(
-        "paper-eval",
-        _grid_base(params),
-        axes={
-            "workload": params.apps,
-            "threads": params.procs,
-            "gating": (False, True),
-        },
-        description=(
-            "Figs. 4-6 evaluation grid: every (application x processor "
-            "count) point with and without clock gating"
-        ),
+    """The Figs. 4–6 grid (:func:`~repro.scenarios.builtin.paper_eval_suite`)."""
+    return paper_eval_suite(
+        scale=params.scale, seed=params.seed, apps=params.apps,
+        procs=params.procs, w0=params.w0, cm=params.cm,
     )
 
 
 def w0_grid_suite(params: FigureParams) -> ScenarioSuite:
-    """The Fig. 7 grid: the evaluation matrix crossed with the W0 sweep.
-
-    Ungated scenarios collapse onto one baseline per (app, procs) by
-    job-digest normalization, and the W0 = 8 gated runs are shared with
-    the evaluation grid when ``params.w0`` is in ``params.w0_values``.
-    """
-    return suite(
-        "paper-fig7",
-        _grid_base(params),
-        axes={
-            "workload": params.apps,
-            "threads": params.procs,
-            "gating": (False, True),
-            "w0": params.w0_values,
-        },
-        description=(
-            "Fig. 7 sensitivity grid: speed-up vs W0 and Np (ungated "
-            "baselines shared across the W0 axis by job-digest dedup)"
-        ),
+    """The Fig. 7 grid (:func:`~repro.scenarios.builtin.paper_fig7_suite`)."""
+    return paper_fig7_suite(
+        scale=params.scale, seed=params.seed, apps=params.apps,
+        procs=params.procs, w0=params.w0, cm=params.cm,
+        w0_values=params.w0_values,
     )
 
 

@@ -29,7 +29,7 @@ from ..errors import FigureError
 from ..exec.serialize import canonical_json
 from ..power.model import PowerModel
 from ..scenarios.suite import ScenarioSuite, SpecListSuite
-from ..workloads.registry import PAPER_APPS
+from ..workloads.registry import PAPER_APPS, PAPER_PROCS
 
 __all__ = [
     "FIGURE_SCHEMA_VERSION",
@@ -58,7 +58,7 @@ class FigureParams:
     scale: str = "small"
     seed: int = 0
     apps: tuple[str, ...] = PAPER_APPS
-    procs: tuple[int, ...] = (4, 8, 16)
+    procs: tuple[int, ...] = PAPER_PROCS
     #: the evaluation-grid gating window (Figs. 4–6)
     w0: int = 8
     #: the Fig. 7 sensitivity sweep

@@ -6,8 +6,11 @@ High-level entry points:
   configuration, with energy accounting and functional validation.
 * :func:`~repro.harness.compare.compare_gating` — the paired
   with/without-clock-gating methodology of Figs. 4–6.
-* :class:`~repro.harness.experiments.EvaluationSuite` — regenerates
-  every table and figure of the paper's evaluation.
+* :func:`~repro.harness.sweep.w0_sensitivity` — one Fig. 7 curve.
+
+The paper's full evaluation grids are scenario suites
+(:mod:`repro.scenarios.builtin`), and its tables and figures are
+rendered by :mod:`repro.figures`.
 """
 
 from typing import Any
@@ -22,9 +25,7 @@ __all__ = [
     "GatingComparison",
     "compare_gating",
     "w0_sensitivity",
-    "w0_sensitivity_grid",
     "proc_scaling",
-    "EvaluationSuite",
     "format_table",
     "format_matrix",
     "check_serializability",
@@ -34,8 +35,7 @@ __all__ = [
 _EXPORTS: _lazy.Exports = {
     ".runner": ("RunResult", "WorkloadSpec", "run_workload", "workload"),
     ".compare": ("GatingComparison", "compare_gating"),
-    ".sweep": ("w0_sensitivity", "w0_sensitivity_grid", "proc_scaling"),
-    ".experiments": ("EvaluationSuite",),
+    ".sweep": ("w0_sensitivity", "proc_scaling"),
     ".reporting": ("format_table", "format_matrix"),
     ".validation": ("check_serializability",),
     "..workloads.registry": ("available_workloads",),

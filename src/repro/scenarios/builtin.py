@@ -8,53 +8,85 @@ is the CLI surface; :func:`get_suite` is the programmatic one.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..config import DEFAULT_W0_VALUES
 from ..errors import WorkloadError
-from ..workloads.registry import PAPER_APPS, STAMP_APPS
+from ..workloads.registry import PAPER_APPS, PAPER_PROCS, STAMP_APPS
 from .spec import ScenarioSpec
 from .suite import ScenarioSuite, suite
 
-__all__ = ["available_suites", "get_suite", "register_suite", "suite_help"]
-
-_EVAL_PROCS = (4, 8, 16)
+__all__ = [
+    "available_suites",
+    "get_suite",
+    "register_suite",
+    "suite_help",
+    "paper_eval_suite",
+    "paper_fig7_suite",
+]
 
 
 def _base(workload: str, scale: str, seed: int, **kw: object) -> ScenarioSpec:
     return ScenarioSpec(workload=workload, scale=scale, seed=seed, **kw)
 
 
-def _paper_fig7(scale: str, seed: int) -> ScenarioSuite:
-    return suite(
-        "paper-fig7",
-        _base("genome", scale, seed),
-        axes={
-            "workload": PAPER_APPS,
-            "threads": _EVAL_PROCS,
-            "gating": (False, True),
-            "w0": DEFAULT_W0_VALUES,
-        },
-        description=(
-            "Fig. 7 sensitivity grid: speed-up vs W0 and Np for the "
-            "paper's three applications (ungated baselines are shared "
-            "across the W0 axis by job-digest dedup)"
-        ),
-    )
+def paper_eval_suite(
+    scale: str = "small",
+    seed: int = 0,
+    apps: Sequence[str] = PAPER_APPS,
+    procs: Sequence[int] = PAPER_PROCS,
+    w0: int = 8,
+    cm: str = "gating-aware",
+) -> ScenarioSuite:
+    """The Figs. 4–6 grid: every (app × procs) point, both gating modes.
 
-
-def _paper_eval(scale: str, seed: int) -> ScenarioSuite:
+    The one definition of the paper's evaluation grid: the built-in
+    ``paper-eval`` suite, the figure pipeline and ``repro evaluate``
+    all expand it, so they lower to identical job batches and share one
+    result store.
+    """
     return suite(
         "paper-eval",
-        _base("genome", scale, seed),
+        _base(apps[0], scale, seed, threads=procs[0], w0=w0, cm=cm),
         axes={
-            "workload": PAPER_APPS,
-            "threads": _EVAL_PROCS,
+            "workload": apps,
+            "threads": procs,
             "gating": (False, True),
         },
         description=(
             "Figs. 4-6 evaluation grid: every (application x processor "
-            "count) point with and without clock gating at W0=8"
+            "count) point with and without clock gating"
+        ),
+    )
+
+
+def paper_fig7_suite(
+    scale: str = "small",
+    seed: int = 0,
+    apps: Sequence[str] = PAPER_APPS,
+    procs: Sequence[int] = PAPER_PROCS,
+    w0: int = 8,
+    cm: str = "gating-aware",
+    w0_values: Sequence[int] = DEFAULT_W0_VALUES,
+) -> ScenarioSuite:
+    """The Fig. 7 grid: the evaluation matrix crossed with the W0 sweep.
+
+    Ungated scenarios collapse onto one baseline per (app, procs) by
+    job-digest normalization, and the gated runs at ``w0`` are shared
+    with :func:`paper_eval_suite` when ``w0`` is in ``w0_values``.
+    """
+    return suite(
+        "paper-fig7",
+        _base(apps[0], scale, seed, threads=procs[0], w0=w0, cm=cm),
+        axes={
+            "workload": apps,
+            "threads": procs,
+            "gating": (False, True),
+            "w0": w0_values,
+        },
+        description=(
+            "Fig. 7 sensitivity grid: speed-up vs W0 and Np (ungated "
+            "baselines shared across the W0 axis by job-digest dedup)"
         ),
     )
 
@@ -125,8 +157,8 @@ def _smoke(scale: str, seed: int) -> ScenarioSuite:
 
 
 _FACTORIES: dict[str, tuple[Callable[[str, int], ScenarioSuite], str]] = {
-    "paper-fig7": (_paper_fig7, "small"),
-    "paper-eval": (_paper_eval, "small"),
+    "paper-fig7": (paper_fig7_suite, "small"),
+    "paper-eval": (paper_eval_suite, "small"),
     "stamp-extended": (_stamp_extended, "small"),
     "cm-shootout": (_cm_shootout, "small"),
     "micro-contention": (_micro_contention, "small"),

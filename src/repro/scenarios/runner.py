@@ -155,41 +155,26 @@ class SuiteRun:
         """Gated/ungated pairs with the paper's three reduction metrics.
 
         Pairing (gated scenario ↔ the ungated scenario identical in
-        every other spec field, same W0 point first) is the shared
-        :func:`repro.figures.extract.pair_results` derivation — the one
-        the figure pipeline's extractors use.  Suites without such
-        pairs return [].
+        every other spec field, same W0 point first) and the metrics
+        are the shared :func:`repro.figures.extract.paired_comparisons`
+        derivation — the one the figure pipeline's extractors use.
+        Suites without such pairs return [].
         """
         # Lazy: repro.figures builds on the scenario layer; importing it
-        # here (like the harness sweep does for scenarios) avoids a cycle.
-        from ..figures.extract import pair_results
-        from ..power.breakdown import average_power_reduction, energy_reduction
+        # here avoids a package cycle.
+        from ..figures.extract import paired_comparisons
 
-        rows = []
-        for gated, baseline in pair_results(self.results):
-            n1 = baseline.result.parallel_time
-            n2 = gated.result.parallel_time
-            rows.append(
-                (
-                    gated.spec.workload,
-                    gated.spec.threads,
-                    gated.spec.w0,
-                    round(n1 / n2, 3),
-                    round(
-                        energy_reduction(
-                            baseline.result.energy, gated.result.energy
-                        ),
-                        3,
-                    ),
-                    round(
-                        average_power_reduction(
-                            baseline.result.energy, gated.result.energy
-                        ),
-                        3,
-                    ),
-                )
+        return [
+            (
+                spec.workload,
+                spec.threads,
+                spec.w0,
+                round(point.speedup, 3),
+                round(point.energy_reduction, 3),
+                round(point.power_reduction, 3),
             )
-        return rows
+            for spec, point in paired_comparisons(self.results)
+        ]
 
     PAIRED_HEADERS = (
         "workload", "threads", "W0", "speed-up", "energy red.", "power red.",

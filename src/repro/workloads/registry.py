@@ -58,13 +58,16 @@ _REGISTRY: dict[str, tuple[Builder | str, WorkloadSchema, bool]] = {}
 #: the paper's evaluation applications, in its presentation order
 PAPER_APPS: tuple[str, ...] = ("genome", "yada", "intruder")
 
+#: the paper's evaluation processor counts (Figs. 4-7)
+PAPER_PROCS: tuple[int, ...] = (4, 8, 16)
+
 #: every STAMP-style application kernel (the paper's three plus the
 #: extended contention profiles added on top of the scenario layer)
 STAMP_APPS: tuple[str, ...] = (
     "genome", "yada", "intruder", "kmeans", "vacation", "labyrinth",
 )
 
-__all__ += ["PAPER_APPS", "STAMP_APPS"]
+__all__ += ["PAPER_APPS", "PAPER_PROCS", "STAMP_APPS"]
 
 
 def available_workloads() -> list[str]:

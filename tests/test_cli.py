@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: committed stdout of the figure-table commands; regenerate one with
+#: ``python -m repro <argv> > tests/data/cli_golden/<name>.txt`` only
+#: when its output legitimately changes
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def run_cli(capsys, *argv: str) -> str:
     code = main(list(argv))
     assert code == 0
     return capsys.readouterr().out
+
+
+def _table_row(out: str, first: str) -> list[str]:
+    """The first table row of *out* whose first cell is *first*."""
+    for line in out.splitlines():
+        if line.split()[:1] == [first]:
+            return line.split()
+    raise AssertionError(f"no row starting with {first!r} in:\n{out}")
 
 
 class TestParser:
@@ -74,6 +90,24 @@ class TestCommands:
         assert "Fig. 4" in out and "Fig. 5" in out and "Fig. 6" in out
         assert "averages over 3 points" in out
 
+    def test_evaluate_honours_cm(self, capsys):
+        grid = ("--scale", "tiny", "--seed", "4")
+        polite = _table_row(
+            run_cli(capsys, "evaluate", *grid, "--grid", "2", "--cm", "polite"),
+            "intruder",
+        )
+        default = _table_row(
+            run_cli(capsys, "evaluate", *grid, "--grid", "2"), "intruder"
+        )
+        compared = run_cli(
+            capsys, "compare", "intruder", *grid, "--procs", "2",
+            "--cm", "polite",
+        )
+        n1, n2 = re.findall(r"N = (\d+) cycles", compared)
+        speedup = re.search(r"speed-up ([\d.]+),", compared).group(1)
+        assert polite == ["intruder", "2", n1, n2, speedup]
+        assert polite != default
+
     def test_sweep(self, capsys):
         out = run_cli(
             capsys, "sweep", "counter", "--scale", "tiny", "--procs", "2",
@@ -93,6 +127,20 @@ class TestCommands:
             "--cm", "momentum",
         )
         assert "Run report" in out
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name, argv", [
+        ("evaluate",
+         ("evaluate", "--scale", "tiny", "--grid", "2", "--seed", "4")),
+        ("sweep",
+         ("sweep", "counter", "--scale", "tiny", "--procs", "2",
+          "--w0-values", "2", "8")),
+        ("cache_power", ("cache-power",)),
+    ])
+    def test_stdout_matches_golden(self, capsys, name, argv):
+        golden = (CLI_GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert run_cli(capsys, *argv) == golden
 
 
 class TestExecFlags:

@@ -162,6 +162,89 @@ class TestExtractors:
             fig4_rows({}, ("genome",), (4,))
 
 
+#: a two-app, two-core-count grid simulated live at tiny scale
+GRID_PARAMS = FigureParams(
+    scale="tiny", seed=9, procs=(2, 4), apps=("counter", "intruder")
+)
+
+
+class TestEvalGridExtractors:
+    """The row derivations over a live evaluation grid."""
+
+    @pytest.fixture(scope="class")
+    def comparisons(self):
+        from repro.figures.extract import comparisons_from_results
+        from repro.scenarios.runner import run_specs
+
+        return comparisons_from_results(
+            run_specs(eval_grid_suite(GRID_PARAMS).expand())
+        )
+
+    def _grid(self, comparisons):
+        return comparisons, GRID_PARAMS.apps, GRID_PARAMS.procs
+
+    def test_fig4_rows(self, comparisons):
+        from repro.figures.extract import fig4_rows
+
+        rows = fig4_rows(*self._grid(comparisons))
+        assert len(rows) == 4  # 2 apps x 2 proc counts
+        for app, procs, n1, n2, speedup in rows:
+            assert speedup == pytest.approx(n1 / n2)
+
+    def test_fig5_rows(self, comparisons):
+        from repro.figures.extract import fig5_rows
+
+        for app, procs, eug, eg, reduction in fig5_rows(
+            *self._grid(comparisons)
+        ):
+            assert reduction == pytest.approx(eug / eg)
+
+    def test_fig6_rows(self, comparisons):
+        from repro.figures.extract import fig6_rows
+
+        rows = fig6_rows(*self._grid(comparisons))
+        assert len(rows) == 4
+        assert all(len(row) == 5 for row in rows)
+
+    def test_fig7_matrix(self):
+        import dataclasses
+
+        from repro.figures.extract import fig7_speedup_matrix
+        from repro.scenarios.runner import run_specs
+
+        params = dataclasses.replace(GRID_PARAMS, w0_values=(8, 16))
+        results = run_specs(w0_grid_suite(params).expand())
+        matrix = fig7_speedup_matrix(
+            results, params.apps, params.procs, params.w0_values
+        )
+        assert set(matrix) == {"counter", "intruder"}
+        assert set(matrix["counter"]) == {2, 4}
+        assert set(matrix["counter"][2]) == {8, 16}
+
+    def test_tables(self):
+        from repro.figures.extract import ExtractionContext
+
+        context = ExtractionContext(params=GRID_PARAMS)
+        table1 = get_extractor("table1-power-model")(context)
+        assert ["Run", 1.0] in table1["rows"]
+        table2 = dict(get_extractor("table2-system-config")(context)["rows"])
+        assert table2["CPU"].startswith("4 ")  # the grid's largest count
+
+    def test_headline(self, comparisons):
+        from repro.figures.extract import headline_from_comparisons
+
+        headline = headline_from_comparisons(*self._grid(comparisons))
+        assert headline["points"] == 4.0
+        assert headline["average_energy_reduction_factor"] > 0
+        # percentage mapping consistency
+        f = headline["average_energy_reduction_factor"]
+        assert headline["average_energy_reduction_pct"] == pytest.approx(
+            (1 - 1 / f) * 100
+        )
+        s = headline["average_speedup_factor"]
+        assert headline["average_speedup_pct"] == pytest.approx((s - 1) * 100)
+
+
 # ----------------------------------------------------------------------
 # incremental builds (live tiny simulations)
 # ----------------------------------------------------------------------
@@ -473,12 +556,11 @@ class TestReviewRegressions:
 
 
 class TestGridParity:
-    """The figure grids must lower to the same job digests as the other
-    two spellings of the paper grid (built-in suites, EvaluationSuite)
-    — that equality is what lets all three share one result store."""
+    """The figure grids must lower to the same job digests as the
+    built-in suites — that equality is what lets both share one result
+    store."""
 
-    def test_eval_grid_digests_match_builtin_and_harness(self):
-        from repro.harness.experiments import EvaluationSuite
+    def test_eval_grid_digests_match_builtin(self):
         from repro.scenarios.builtin import get_suite
 
         params = FigureParams(scale="tiny", seed=0)
@@ -489,12 +571,7 @@ class TestGridParity:
             s.to_job().digest
             for s in get_suite("paper-eval", scale="tiny", seed=0).expand()
         }
-        harness_jobs = {
-            s.to_job().digest
-            for s in EvaluationSuite(scale="tiny", seed=0)
-            .scenario_suite().expand()
-        }
-        assert figures_jobs == builtin_jobs == harness_jobs
+        assert figures_jobs == builtin_jobs
 
     def test_w0_grid_digests_match_builtin(self):
         from repro.scenarios.builtin import get_suite

@@ -342,16 +342,21 @@ class TestBuiltinSuites:
             for s in get_suite("smoke", scale="medium").expand()
         )
 
-    def test_eval_suite_matches_evaluation_suite_grid(self):
-        from repro.harness.experiments import EvaluationSuite
+    def test_eval_suite_matches_figure_grid(self):
+        from repro.figures import FigureParams, eval_grid_suite
+        from repro.figures.extract import comparisons_from_results
 
-        harness_suite = EvaluationSuite(scale="tiny", procs=(2,), seed=4)
-        declarative = harness_suite.scenario_suite()
-        specs = declarative.expand()
+        builtin = get_suite("paper-eval", scale="tiny", seed=4)
+        figure_grid = eval_grid_suite(FigureParams(scale="tiny", seed=4))
+        assert builtin.to_dict() == figure_grid.to_dict()
+        grid = eval_grid_suite(
+            FigureParams(scale="tiny", seed=4, procs=(2,))
+        )
+        specs = grid.expand()
         assert len(specs) == len(PAPER_APPS) * 1 * 2
-        harness_suite.run_all()
+        comparisons = comparisons_from_results(run_specs(specs))
         for app in PAPER_APPS:
-            assert harness_suite.comparison(app, 2).speedup > 0
+            assert comparisons[(app, 2)].speedup > 0
 
 
 class TestSpecJson:

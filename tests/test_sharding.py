@@ -124,22 +124,17 @@ class TestPlan:
         assert sum(p.total_scenarios for p in parts) == full.total_scenarios
 
     def test_evaluation_suite_plan(self, tmp_path):
-        from repro.harness.experiments import EvaluationSuite
+        from repro.figures import FigureParams, eval_grid_suite
 
-        suite = EvaluationSuite(scale="tiny", procs=(2,), apps=("counter",))
-        plan = suite.plan(ResultStore(tmp_path))
+        suite = eval_grid_suite(
+            FigureParams(scale="tiny", procs=(2,), apps=("counter",))
+        )
+        plan = plan_suite(suite, store=ResultStore(tmp_path))
         assert plan.unique_jobs == 2  # gated + ungated at one point
         assert plan.misses == 2
-        suite.run_all()
-        # run_all shares the suite's executor, not our probe store, so
-        # attach one and prove plan-then-run-then-plan converges
-        store = ResultStore(tmp_path)
-        cached = EvaluationSuite(
-            scale="tiny", procs=(2,), apps=("counter",),
-            executor=Executor(store=store),
-        )
-        cached.run_all()
-        assert cached.plan(ResultStore(tmp_path)).misses == 0
+        # plan-then-run-then-plan converges on the same store
+        run_suite(suite, executor=Executor(store=ResultStore(tmp_path)))
+        assert plan_suite(suite, store=ResultStore(tmp_path)).misses == 0
 
     def test_plan_to_dict_shape(self):
         data = plan_suite(smoke(), shard=Shard(1, 1)).to_dict()
