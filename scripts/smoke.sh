@@ -64,49 +64,38 @@ echo "$example" | grep -q "^warm: executed 0 of" || {
   echo "smoke FAILED: parallel_sweep warm pass re-executed"; exit 1; }
 echo "smoke OK: examples run"
 
-echo "== smoke: replicate packs vs per-process (store digest identity) =="
-# Two seed families (counter and bank, five seeds each) through the
-# pool executor with replicate packing on and off.  On two workers each
-# family runs as stripes of 3 and 2 seeds.  The two result stores must
-# hold exactly the same digest-keyed records.
+echo "== smoke: pool (packs, machine reset) vs serial (store identity) =="
+# Two seed families (counter and bank, five seeds each).  On two
+# workers each family runs as replicate-pack stripes of 3 and 2 seeds,
+# reusing one machine per stripe; the serial path builds a fresh
+# machine per job.  Both stores must hold the same results under the
+# same digests: `exec-status --digests` lists each digest with a hash
+# of its result.
 PACK_SUITE=$(mktemp /tmp/smoke_packs_XXXX.json)
 cat > "$PACK_SUITE" <<'JSON'
 {
   "name": "smoke-packs",
-  "description": "seed replicates for the pack identity check",
+  "description": "seed replicates for the pool/serial identity check",
   "base": {"workload": "counter", "scale": "tiny", "threads": 2},
   "axes": [["workload", ["counter", "bank"]], ["seed", [1, 2, 3, 4, 5]]]
 }
 JSON
-PACKS_ON_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-packs-on
-PACKS_OFF_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-packs-off
-rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR"
+POOL_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-pool
+SERIAL_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-serial
+rm -rf "$POOL_DIR" "$SERIAL_DIR"
 python -m repro suite run --file "$PACK_SUITE" --jobs 2 \
-  --cache-dir "$PACKS_ON_DIR" >/dev/null
-python -m repro suite run --file "$PACK_SUITE" --jobs 2 --no-packs \
-  --cache-dir "$PACKS_OFF_DIR" >/dev/null
-on_digests=$(python -m repro exec-status --cache-dir "$PACKS_ON_DIR" --digests)
-off_digests=$(python -m repro exec-status --cache-dir "$PACKS_OFF_DIR" --digests)
-[ "$(echo "$on_digests" | wc -l)" -eq 10 ] || {
-  echo "smoke FAILED: pack run did not store all 10 results"; exit 1; }
-[ "$on_digests" = "$off_digests" ] || {
-  echo "smoke FAILED: pack-on and pack-off stores diverge"; exit 1; }
-echo "smoke OK: replicate packs store digest-identical results"
-
-echo "== smoke: machine reset-reuse vs rebuild (store digest identity) =="
-# The same seed families with the pack warm path disabled: every member
-# rebuilds its machine from scratch.  Stores must match the reset-reuse
-# run digest for digest.
-RESET_OFF_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-reset-off
-rm -rf "$RESET_OFF_DIR"
-REPRO_NO_RESET=1 python -m repro suite run --file "$PACK_SUITE" --jobs 2 \
-  --cache-dir "$RESET_OFF_DIR" >/dev/null
-reset_off_digests=$(python -m repro exec-status --cache-dir "$RESET_OFF_DIR" --digests)
-[ "$on_digests" = "$reset_off_digests" ] || {
-  echo "smoke FAILED: reset-reuse and rebuild stores diverge"; exit 1; }
+  --cache-dir "$POOL_DIR" >/dev/null
+python -m repro suite run --file "$PACK_SUITE" --jobs 1 \
+  --cache-dir "$SERIAL_DIR" >/dev/null
+pool_listing=$(python -m repro exec-status --cache-dir "$POOL_DIR" --digests)
+serial_listing=$(python -m repro exec-status --cache-dir "$SERIAL_DIR" --digests)
+[ "$(echo "$pool_listing" | wc -l)" -eq 10 ] || {
+  echo "smoke FAILED: pool run did not store all 10 results"; exit 1; }
+[ "$pool_listing" = "$serial_listing" ] || {
+  echo "smoke FAILED: pool and serial stores hold different results"; exit 1; }
 rm -f "$PACK_SUITE"
-rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR" "$RESET_OFF_DIR"
-echo "smoke OK: machine reset-reuse stores digest-identical results"
+rm -rf "$POOL_DIR" "$SERIAL_DIR"
+echo "smoke OK: pool and serial runs store identical results"
 
 echo "== smoke: incremental figure pipeline =="
 bash "$(dirname "$0")/smoke_figures.sh"

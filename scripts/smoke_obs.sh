@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Observability smoke: run one suite with observability ON and once
-# with it OFF.  The result store must be digest-identical either way
-# (obs never touches result bytes), the run manifest must account for
-# every executed job, and every `repro obs` surface must work against
-# the recorded run.  Run from the repo root (or via `make obs-smoke`).
+# with it OFF.  The result stores must hold the same results under the
+# same digests (obs never touches result bytes), the run manifest must
+# account for every executed job, and every `repro obs` surface must
+# work against the recorded run.  Run from the repo root (or via `make obs-smoke`).
 # Set OBS_SMOKE_KEEP=1 to keep the obs directory (CI uploads it).
 set -euo pipefail
 
@@ -24,7 +24,7 @@ grep -q "obs: run manifest" "$ROOT/on.err"
 echo "== obs smoke: unobserved control run =="
 python -m repro "${SUITE[@]}" --cache-dir "$ROOT/cache-off" 2>&1 | tail -2
 
-echo "== obs smoke: stores digest-identical with obs on vs off =="
+echo "== obs smoke: stores identical with obs on vs off (digest + result hash) =="
 python -m repro exec-status --cache-dir "$ROOT/cache-on" --digests \
   > "$ROOT/digests-on"
 python -m repro exec-status --cache-dir "$ROOT/cache-off" --digests \

@@ -2,7 +2,8 @@
 # Sharded end-to-end smoke, for BOTH store backends (jsonl + sqlite):
 # run the smoke suite unsharded, then as two digest-partitioned shards
 # into separate stores, merge the shard stores, and require
-#   1. the merged store's digest set == the unsharded store's, and
+#   1. the merged store's digest + result-hash listing == the
+#      unsharded store's, and
 #   2. `suite plan` over the merged store reports ZERO misses
 # (the ISSUE acceptance criteria).  Run from the repo root (or via
 # `make smoke-sharded`).
@@ -33,10 +34,10 @@ for STORE in jsonl sqlite; do
   merged=$(python -m repro exec-status --cache-dir "$BASE/merged" --digests)
   [ -n "$full" ] || { echo "sharded smoke FAILED [$STORE]: empty reference store"; exit 1; }
   [ "$full" = "$merged" ] || {
-    echo "sharded smoke FAILED [$STORE]: merged digest set differs from unsharded run"
+    echo "sharded smoke FAILED [$STORE]: merged store differs from unsharded run"
     exit 1
   }
-  echo "digest sets identical ($(echo "$full" | wc -l) entries)"
+  echo "digests and results identical ($(echo "$full" | wc -l) entries)"
 
   echo "== sharded smoke [$STORE]: plan over the merged store =="
   plan=$(python -m repro suite plan --suite micro-contention --scale tiny \

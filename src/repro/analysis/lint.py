@@ -1,8 +1,8 @@
 """`repro check`: the determinism-invariant lint engine.
 
-The repo's core promise — (jobs, shard K/N, backend, packs on/off,
-obs on/off) never changes a byte — is enforced dynamically by golden
-captures and smoke scripts.  This module adds the *static* half: an
+The repo's core promise — (jobs, shard K/N, backend, obs on/off) never
+changes a byte — is enforced dynamically by golden captures and smoke
+scripts.  This module adds the *static* half: an
 AST-based rule engine whose rules encode the domain invariants generic
 linters cannot express (wall-clock reads in the deterministic core,
 unordered set iteration feeding digests, store-file access outside the

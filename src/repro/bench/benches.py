@@ -62,7 +62,7 @@ __all__ = ["BENCHMARKS", "available_benchmarks", "run_benchmarks"]
 # micro: event engine
 # ----------------------------------------------------------------------
 def bench_engine(check: bool = False, repeats: int = 5, warmup: int = 2) -> BenchResult:
-    from ..sim.engine import Engine
+    from ..sim.engine import Engine, cancel
 
     population = 64           # concurrently-scheduled recurring events
     horizon = 400 if check else 20_000  # cycles simulated per repetition
@@ -85,8 +85,7 @@ def bench_engine(check: bool = False, repeats: int = 5, warmup: int = 2) -> Benc
         # A sprinkling of cancellations so the lazy-deletion path stays
         # on the profile (aborted HTM operations cancel their events).
         for i in range(0, horizon, 50):
-            event = engine.schedule(i + 1, one_shot)
-            event.cancel()
+            cancel(engine.schedule(i + 1, one_shot))
         engine.run()
         return engine.events_executed
 

@@ -36,9 +36,6 @@ Execution control (``compare``, ``evaluate``, ``sweep``, ``suite run``)
 ``--store B``      cache backend: ``jsonl``, ``sqlite``, or ``auto``
                    (detect from the cache directory; default)
 ``--no-cache``     ignore ``--cache-dir`` for this invocation
-``--no-packs``     disable replicate packing on the pool path (also
-                   ``REPRO_NO_PACKS=1``); results are bit-identical
-                   with or without packs
 ``--progress``     per-job status lines + batch speed-up on stderr
 ``--obs-dir D``    structured tracing: spans/events + a run manifest
                    under D (``REPRO_OBS=1`` enables it by environment)
@@ -92,10 +89,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     _add_store(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir for this invocation")
-    parser.add_argument("--no-packs", action="store_true",
-                        help="disable replicate packing on the pool path "
-                             "(one dispatch per job; results are identical "
-                             "either way; REPRO_NO_PACKS=1 by environment)")
     parser.add_argument("--progress", action="store_true",
                         help="per-job status and batch speed-up on stderr")
     _add_obs(parser)
@@ -144,8 +137,7 @@ def _executor(args: argparse.Namespace) -> Executor:
         store = ResultStore(args.cache_dir, backend=args.store)
     progress = ConsoleProgress() if args.progress else None
     return Executor(jobs=args.jobs, store=store, progress=progress,
-                    profile=getattr(args, "profile", False),
-                    packs=False if getattr(args, "no_packs", False) else None)
+                    profile=getattr(args, "profile", False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("--verbose", action="store_true",
                           help="list every cached run")
     p_status.add_argument("--digests", action="store_true",
-                          help="print only the full digest of every entry, "
-                               "sorted (for scripting, e.g. comparing a "
-                               "merged store against an unsharded run)")
+                          help="print '<digest> <result sha256>' per entry, "
+                               "sorted by digest (for scripting, e.g. "
+                               "comparing a merged store against an "
+                               "unsharded run)")
     p_status.add_argument("--prune", action="store_true",
                           help="compact tombstoned/corrupt/stale records "
                                "out of the store")
@@ -886,8 +879,15 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
         return 2
     store = ResultStore(args.cache_dir, backend=args.store)
     if args.digests:
-        for digest in sorted(digest for digest, _label in store.labels()):
-            print(digest)
+        import hashlib
+
+        from .exec.serialize import canonical_json
+
+        # The result hash makes two listings equal only when the stores
+        # hold the same results, not merely the same job keys.
+        for record in sorted(store.records(), key=lambda r: r["digest"]):
+            result = canonical_json(record["result"]).encode()
+            print(record["digest"], hashlib.sha256(result).hexdigest())
         return 0
     prune_report = None
     if args.prune:

@@ -21,9 +21,9 @@ submission order, through three stages:
    worker runs its stripe back to back instead of paying one dispatch
    round-trip per job, and no worker idles while another finishes a
    family alone.  Packing never changes results — every member still
-   runs the plain ``execute_job`` path and lands under its own digest —
-   and can be disabled with ``packs=False`` / ``--no-packs`` /
-   ``REPRO_NO_PACKS=1``.
+   runs the plain ``execute_job`` path and lands under its own digest;
+   the serial path, which builds a fresh machine per job, is the
+   reference it is tested against.
 
 Every ``run`` leaves a :class:`BatchReport` on
 :attr:`Executor.last_report` with per-batch totals and the measured
@@ -69,18 +69,8 @@ from .store import ResultStore
 
 __all__ = ["Executor", "BatchReport", "BatchExecutionError", "JobFailure"]
 
-#: environment switch disabling replicate packing (``--no-packs`` on the
-#: CLI); any non-empty value other than ``0``/``false``/``no`` disables
-NO_PACKS_ENV = "REPRO_NO_PACKS"
-
 #: a pack smaller than this is not worth a grouped dispatch
 MIN_PACK_SIZE = 2
-
-
-def packs_enabled_from_env() -> bool:
-    """Replicate packing default: on unless ``REPRO_NO_PACKS`` is set."""
-    value = os.environ.get(NO_PACKS_ENV, "").strip().lower()
-    return value in ("", "0", "false", "no")
 
 #: sim counter namespaces surfaced into job spans — the abort/retry and
 #: clock-gating activity that explains *why* a grid point behaved as it
@@ -230,15 +220,6 @@ class Executor:
         spots into the observability run manifest.  Meaningful only
         with observability enabled; adds real overhead, so it is strictly
         opt-in.
-    packs:
-        Group pool-path jobs that differ only in their seeds into
-        :class:`~repro.exec.jobs.ReplicatePack` dispatch units — one
-        warmed worker process serves a whole seed family instead of one
-        pool round-trip per job.  Results, store records and digests
-        are bit-identical either way (each member still runs the plain
-        ``execute_job`` path).  ``None`` (default) resolves from the
-        ``REPRO_NO_PACKS`` environment switch; the serial path never
-        packs (there is nothing to amortize in-process).
     """
 
     def __init__(
@@ -248,7 +229,6 @@ class Executor:
         progress: ProgressListener | None = None,
         refresh: bool = False,
         profile: bool = False,
-        packs: bool | None = None,
     ) -> None:
         if jobs < 0:
             raise ExecutionError(f"worker count cannot be negative: {jobs}")
@@ -259,7 +239,6 @@ class Executor:
         self.progress = progress if progress is not None else ProgressListener()
         self.refresh = refresh
         self.profile = profile
-        self.packs = packs_enabled_from_env() if packs is None else packs
         self.last_report: BatchReport | None = None
 
     # ------------------------------------------------------------------
@@ -467,19 +446,17 @@ class Executor:
     ) -> list[list[tuple[str, RunJob]]]:
         """Group pending jobs into pool dispatch units.
 
-        With packing on, jobs sharing a :func:`replicate_key` (same
-        spec, different seeds) form one pack; everything else stays a
-        singleton.  Each pack is cut into ``min(workers, len(pack) //
-        MIN_PACK_SIZE)`` contiguous stripes whose sizes differ by at
-        most one, larger stripes first.  Families keep their
+        Jobs sharing a :func:`replicate_key` (same spec, different
+        seeds) form one pack; everything else stays a singleton.  Each
+        pack is cut into ``min(workers, len(pack) // MIN_PACK_SIZE)``
+        contiguous stripes whose sizes differ by at most one, larger
+        stripes first.  Families keep their
         first-occurrence order and a family's stripes stay adjacent, so
         the pool's queue hands them to different workers and the load
         balances family by family.  Grouping is deterministic in
         submission order — it only changes *where* jobs run, never what
         any of them computes.
         """
-        if not self.packs:
-            return [[entry] for entry in pending]
         groups: dict[str, list[tuple[str, RunJob]]] = {}
         for digest, job in pending:
             groups.setdefault(replicate_key(job), []).append((digest, job))

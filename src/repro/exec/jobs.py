@@ -30,20 +30,18 @@ Replicate packs
 Seed replicates of one scenario — jobs identical except for the seed
 fields — are the common bulk shape of statistical runs.
 :func:`replicate_key` is the grouping digest (the job payload with
-both seed slots zeroed) and :class:`ReplicatePack` +
-:func:`execute_pack` are the worker-side shape: all members of a seed
-family execute sequentially inside ONE worker process (warm
-interpreter, warm import graph, one pool round-trip), while each
-member still produces its own independently digest-keyed
-:class:`ExecResult` — the store, dedup, sharding and planning layers
-never see packs at all.
+both seed slots zeroed) and :func:`execute_pack` is the worker-side
+shape: all members of a seed family execute sequentially inside ONE
+worker process (warm interpreter, warm import graph, one pool
+round-trip), while each member still produces its own independently
+digest-keyed :class:`ExecResult` — the store, dedup, sharding and
+planning layers never see packs at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -65,23 +63,10 @@ __all__ = [
     "ExecResult",
     "execute_job",
     "replicate_key",
-    "ReplicatePack",
     "PackMemberOutcome",
     "PackStats",
     "execute_pack",
-    "reset_enabled_from_env",
 ]
-
-#: environment switch disabling machine reset-reuse inside replicate
-#: packs (mirror of ``REPRO_NO_PACKS``); any non-empty value other than
-#: ``0``/``false``/``no`` disables — members then rebuild per seed
-NO_RESET_ENV = "REPRO_NO_RESET"
-
-
-def reset_enabled_from_env() -> bool:
-    """Pack reset-reuse default: on unless ``REPRO_NO_RESET`` is set."""
-    value = os.environ.get(NO_RESET_ENV, "").strip().lower()
-    return value in ("", "0", "false", "no")
 
 #: Bump whenever job semantics or the result encoding change in a way
 #: that invalidates previously cached results; the store skips records
@@ -226,26 +211,6 @@ def replicate_key(job: RunJob) -> str:
 
 
 @dataclass(frozen=True)
-class ReplicatePack:
-    """All pending seed replicates of one spec, as one dispatch unit."""
-
-    members: tuple[RunJob, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("a replicate pack needs at least one member")
-
-    @cached_property
-    def key(self) -> str:
-        """The shared :func:`replicate_key` of every member."""
-        return replicate_key(self.members[0])
-
-    def label(self) -> str:
-        first = self.members[0]
-        return f"{first.label()} pack of {len(self.members)} seed(s)"
-
-
-@dataclass(frozen=True)
 class PackMemberOutcome:
     """One member's result (or failure) from a pack execution.
 
@@ -280,17 +245,17 @@ def execute_pack(
     standalone dispatch uses — same seeds travelling inside the job —
     so pack results are bit-identical to per-process results by
     construction.  The pack amortizes process/dispatch overhead plus,
-    via a shared :class:`~repro.harness.runner.RunReuse` (unless
-    ``REPRO_NO_RESET`` is set), the per-seed constant factor: the
-    machine topology is built once and reset between members, and
-    seed-invariant workload preparation is cached across the family.
+    via a shared :class:`~repro.harness.runner.RunReuse`, the per-seed
+    constant factor: the machine topology is built once and reset
+    between members, and seed-invariant workload preparation is cached
+    across the family.
     Per-member exceptions are caught so one bad seed cannot take down
     the rest of the family; a failure also drops the cached machine
     (it may be mid-run), so the next member rebuilds from scratch.
     """
     from ..harness.runner import RunReuse  # lazy: avoids import cycle
 
-    reuse = RunReuse() if reset_enabled_from_env() else None
+    reuse = RunReuse()
     outcomes: list[PackMemberOutcome] = []
     for job in jobs:
         started = time.perf_counter()
@@ -302,8 +267,7 @@ def execute_pack(
             else:
                 result, rows = execute_job(job, reuse), None
         except Exception as exc:
-            if reuse is not None:
-                reuse.discard_machine()
+            reuse.discard_machine()
             outcomes.append(
                 PackMemberOutcome(
                     result=None,
@@ -321,7 +285,6 @@ def execute_pack(
                 )
             )
     stats = PackStats(
-        reset_reuses=reuse.machine_resets if reuse is not None else 0,
-        shared_prep_hits=reuse.prep_hits if reuse is not None else 0,
+        reset_reuses=reuse.machine_resets, shared_prep_hits=reuse.prep_hits
     )
     return outcomes, stats

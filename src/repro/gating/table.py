@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.engine import Event
+from ..sim.engine import Event, cancel
 
 __all__ = ["GatingEntry", "GatingTable"]
 
@@ -73,7 +73,7 @@ class GatingEntry:
 
     def cancel_timer(self) -> None:
         if self.timer_event is not None:
-            self.timer_event.cancel()
+            cancel(self.timer_event)
             self.timer_event = None
         self.epoch += 1
 
@@ -82,7 +82,7 @@ class GatingEntry:
 
         The timer event is dropped without cancelling: resets only run
         between simulations, when the engine queue has already been
-        cleared, so the handle is expired.  ``epoch`` returns to 0 —
+        cleared.  ``epoch`` returns to 0 —
         safe for the same reason (no in-flight callbacks can observe
         the rollback).
         """

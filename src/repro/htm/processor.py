@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from ..errors import ProtocolError, WorkloadError
 from ..mem.messages import FillReply, FillRequest, FlushDone, FlushRequest, Invalidation, TurnOn
 from ..power.states import ProcState
+from ..sim.engine import cancel
 from ..sim.rng import derive_seed_from, seed_prefix
 from .ops import BarrierOp, Compute, Load, Op, Store, TxOp
 from .program import ThreadContext, ThreadProgram
@@ -317,9 +318,7 @@ class Processor:
         return self._tx_seed
 
     def _start_attempt(self) -> None:
-        # Drop the handle first: once this callback runs (or is reached
-        # directly), the restart event must never be cancelled again —
-        # the engine's reuse pool may hand the object to a new event.
+        # Any restart event has fired or been cancelled by now.
         self._restart_event = None
         if self.gated:
             # A Stop-Clock raced with a scheduled retry; the wake-up
@@ -742,7 +741,7 @@ class Processor:
                 f"proc {self.proc_id} gated with no transaction in progress"
             )
         if self._restart_event is not None:
-            self._restart_event.cancel()
+            cancel(self._restart_event)
             self._restart_event = None
         self.gated = True
         self._gated_by = {from_dir} if from_dir is not None else set()

@@ -21,11 +21,10 @@ delivered).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable
 
 from ..config import BusConfig
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 
 __all__ = ["Bus"]
@@ -53,14 +52,8 @@ class Bus:
     # than delegating to a shared helper: every protocol message crosses
     # one of them, and the extra call frame was a measured cost.  Keep
     # the two bodies in sync (they differ only in the occupancy used).
-    # Counter bumps are likewise inlined (.value +=, not .add()), and so
-    # is the body of Engine.schedule_at (pool reuse + heappush): the
-    # arrival time is >= now by construction (depart >= now, occupancy
-    # and wire latency non-negative), so the past-check and the *args
-    # repack of a delegated call buy nothing here.
-    def send_ctrl(
-        self, fn: Callable[..., Any], *args: Any, _push=heappush
-    ) -> int:
+    # Counter bumps are likewise inlined (.value +=, not .add()).
+    def send_ctrl(self, fn: Callable[..., Any], *args: Any) -> int:
         """Send a control (address-only) message; returns arrival time."""
         occupancy = self._ctrl_occupancy
         engine = self._engine
@@ -69,19 +62,7 @@ class Bus:
         depart = busy if busy > now else now
         self._busy_until = busy = depart + occupancy
         arrival = busy + self._wire_latency
-        seq = engine._seq
-        engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = arrival
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(arrival, seq, fn, args or None)
-        _push(engine._queue, event)
+        engine.schedule_at(arrival, fn, *args)
 
         self._c_messages.value += 1
         self._c_busy_cycles.value += occupancy
@@ -89,9 +70,7 @@ class Bus:
             self._c_queue_cycles.value += depart - now
         return arrival
 
-    def send_data(
-        self, fn: Callable[..., Any], *args: Any, _push=heappush
-    ) -> int:
+    def send_data(self, fn: Callable[..., Any], *args: Any) -> int:
         """Send a data-bearing message; returns arrival time."""
         occupancy = self._data_occupancy
         engine = self._engine
@@ -100,19 +79,7 @@ class Bus:
         depart = busy if busy > now else now
         self._busy_until = busy = depart + occupancy
         arrival = busy + self._wire_latency
-        seq = engine._seq
-        engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = arrival
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(arrival, seq, fn, args or None)
-        _push(engine._queue, event)
+        engine.schedule_at(arrival, fn, *args)
 
         self._c_messages.value += 1
         self._c_busy_cycles.value += occupancy

@@ -38,12 +38,11 @@ it has been turned on by some other directory").
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Iterable
 
 from ..config import DirectoryConfig
 from ..errors import ProtocolError
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from ..sim.trace import NullTrace
 from .address import AddressMap
@@ -190,21 +189,7 @@ class Directory:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = done = start + self._latency
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
-        seq = engine._seq
-        engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = self._fill_serviced
-            event[3] = (req,)
-            event.cancelled = False
-        else:
-            event = Event(done, seq, self._fill_serviced, (req,))
-        heappush(engine._queue, event)
+        engine.schedule_at(done, self._fill_serviced, req)
 
     def _fill_serviced(self, req: FillRequest) -> None:
         # Sharer registration happens at service time, before the data
@@ -252,21 +237,7 @@ class Directory:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = done = start + service
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
-        seq = engine._seq
-        engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = self._flush_complete
-            event[3] = (req,)
-            event.cancelled = False
-        else:
-            event = Event(done, seq, self._flush_complete, (req,))
-        heappush(engine._queue, event)
+        engine.schedule_at(done, self._flush_complete, req)
 
     def _flush_complete(self, req: FlushRequest) -> None:
         now = self._engine.now

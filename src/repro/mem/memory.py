@@ -16,12 +16,11 @@ the serializability checker replays it to validate Invariant 1.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Mapping
 
 from ..config import MemoryConfig
 from ..errors import MemoryModelError
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from .address import WORD_BYTES
 
@@ -118,7 +117,7 @@ class MainMemory:
     # ------------------------------------------------------------------
     # timed port
     # ------------------------------------------------------------------
-    def access(self, fn: Callable[..., Any], *args: Any, _push=heappush) -> int:
+    def access(self, fn: Callable[..., Any], *args: Any) -> int:
         """Reserve the port and schedule ``fn`` at data-ready time.
 
         Returns the completion cycle.  The port accepts a new access
@@ -131,21 +130,7 @@ class MainMemory:
         start = busy if busy > now else now
         self._port_busy_until = start + self._port_occupancy
         done = start + self._latency
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
-        seq = engine._seq
-        engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(done, seq, fn, args or None)
-        _push(engine._queue, event)
+        engine.schedule_at(done, fn, *args)
 
         # Inlined counter bumps: every fill and flush pays this path.
         self._c_accesses.value += 1

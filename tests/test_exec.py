@@ -366,16 +366,17 @@ class TestReplicatePacks:
             for name in ("counter", "bank")
             for seed in range(1, 6)
         ] + [tiny_job("intruder")]
-        packed = Executor(jobs=2, packs=True).run(jobs)
-        unpacked = Executor(jobs=2, packs=False).run(jobs)
+        packed = Executor(jobs=2).run(jobs)
         serial = Executor(jobs=1).run(jobs)
+        standalone = [execute_job(job) for job in jobs]
         assert [result_to_dict(r) for r in packed] == [
-            result_to_dict(r) for r in unpacked
-        ] == [result_to_dict(r) for r in serial]
+            result_to_dict(r) for r in serial
+        ] == [result_to_dict(r) for r in standalone]
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_pack_and_per_process_stores_are_identical(self, tmp_path, backend):
-        """The store never sees packs: same digests, same records."""
+        """The store never sees packs: a pool run (packed) and a serial
+        run (fresh machine per job) land the same digests and records."""
         jobs = self.seed_family()
 
         def normalized(directory):
@@ -386,13 +387,14 @@ class TestReplicatePacks:
             store.close()
             return records
 
-        Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "on", backend=backend)).run(jobs)
-        Executor(jobs=2, packs=False,
-                 store=ResultStore(tmp_path / "off", backend=backend)).run(jobs)
-        on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
-        assert sorted(on) == sorted(off)
-        assert on == off
+        Executor(jobs=2,
+                 store=ResultStore(tmp_path / "pool", backend=backend)).run(jobs)
+        Executor(jobs=1,
+                 store=ResultStore(tmp_path / "serial", backend=backend)).run(jobs)
+        pool = normalized(tmp_path / "pool")
+        serial = normalized(tmp_path / "serial")
+        assert sorted(pool) == sorted(serial)
+        assert pool == serial
 
     def test_pack_identity_under_shard(self, tmp_path):
         """Sharding partitions by job digest, so packs cannot change it."""
@@ -402,10 +404,10 @@ class TestReplicatePacks:
         shard = Shard(index=1, count=2)
         owned = [job for job in jobs if shard.owns(job.digest)]
         assert 0 < len(owned) < len(jobs)  # a real partition
-        packed = Executor(jobs=2, packs=True).run(owned)
-        unpacked = Executor(jobs=2, packs=False).run(owned)
+        packed = Executor(jobs=2).run(owned)
+        serial = Executor(jobs=1).run(owned)
         assert [result_to_dict(r) for r in packed] == [
-            result_to_dict(r) for r in unpacked
+            result_to_dict(r) for r in serial
         ]
 
     def test_pack_member_failure_spares_siblings(self, tmp_path, monkeypatch):
@@ -421,7 +423,7 @@ class TestReplicatePacks:
         bad = RunJob(workload("no-such-workload", scale="tiny"), TINY)
         store = ResultStore(tmp_path)
         with pytest.raises(ExecutionError, match="no-such-workload"):
-            Executor(jobs=2, packs=True, store=store).run(good + [bad])
+            Executor(jobs=2, store=store).run(good + [bad])
         assert all(job.digest in store for job in good)
         assert bad.digest not in store
 
@@ -441,15 +443,12 @@ class TestReplicatePacks:
     def test_dispatch_units_split_to_fill_workers(self):
         jobs = self.seed_family(8)
         pending = [(job.digest, job) for job in jobs]
-        exe = Executor(jobs=4, packs=True)
+        exe = Executor(jobs=4)
         units = exe._dispatch_units(pending, workers=4)
         assert [len(unit) for unit in units] == [2, 2, 2, 2]
         # flattened order covers exactly the pending jobs
         flat = [digest for unit in units for digest, _job in unit]
         assert sorted(flat) == sorted(digest for digest, _job in pending)
-        # packs off: one singleton per job, in submission order
-        exe_off = Executor(jobs=4, packs=False)
-        assert [len(u) for u in exe_off._dispatch_units(pending, 4)] == [1] * 8
 
     #: per-member cost of each pool family, in arbitrary units
     POOL_COSTS = {"genome": 33, "intruder": 27, "counter": 14, "bank": 27}
@@ -465,7 +464,7 @@ class TestReplicatePacks:
 
     def test_dispatch_units_stripe_every_family(self):
         pending = self.pool_batch()
-        units = Executor(jobs=2, packs=True)._dispatch_units(pending, 2)
+        units = Executor(jobs=2)._dispatch_units(pending, 2)
         assert [len(unit) for unit in units] == [16] * 8
         # family order kept, each family's two stripes adjacent
         assert [unit[0][1].spec.name for unit in units] == [
@@ -479,7 +478,7 @@ class TestReplicatePacks:
         assert [entry for unit in units for entry in unit] == pending
 
     def test_dispatch_units_stripe_sizes(self):
-        exe = Executor(jobs=4, packs=True)
+        exe = Executor(jobs=4)
 
         def sizes(count: int, workers: int) -> list[int]:
             pending = [(job.digest, job) for job in self.seed_family(count)]
@@ -508,24 +507,13 @@ class TestReplicatePacks:
             return max(at for at, _worker in free)
 
         pending = self.pool_batch()
-        exe = Executor(jobs=2, packs=True)
+        exe = Executor(jobs=2)
         total = sum(self.POOL_COSTS[job.spec.name] for _d, job in pending)
         assert total == 3232
         assert makespan(exe._dispatch_units(pending, 2)) == total // 2
         # one whole pack per family (the 1-worker split) runs genome and
         # then bank on one worker: 1056 + 864
         assert makespan(exe._dispatch_units(pending, 1)) == 1920
-
-    def test_no_packs_environment_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PACKS", "1")
-        assert Executor().packs is False
-        monkeypatch.setenv("REPRO_NO_PACKS", "0")
-        assert Executor().packs is True
-        monkeypatch.delenv("REPRO_NO_PACKS")
-        assert Executor().packs is True
-        # an explicit argument always wins over the environment
-        monkeypatch.setenv("REPRO_NO_PACKS", "1")
-        assert Executor(packs=True).packs is True
 
 
 class TestSweepIntegration:

@@ -3,9 +3,9 @@
 The pack warm path (PR 10) rests on one contract: a machine that has
 been ``reset()`` produces numbers byte-identical to a freshly
 constructed one.  These tests pin that contract at every level — the
-raw ``Machine.reset`` parity, the :class:`RunReuse` cache policy, the
-``REPRO_NO_RESET`` escape hatch, and the end-to-end store-digest
-identity of reset-reuse ON vs OFF (mirroring the packs ON/OFF tests).
+raw ``Machine.reset`` parity, the :class:`RunReuse` cache policy, and
+the end-to-end identity of a reset-reusing pack with per-member
+rebuilds (``execute_job`` alone, and the serial executor path).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import ConfigError, WorkloadError
 from repro.exec.executor import Executor
-from repro.exec.jobs import (
-    PackStats,
-    RunJob,
-    execute_pack,
-    reset_enabled_from_env,
-)
+from repro.exec.jobs import PackStats, RunJob, execute_job, execute_pack
 from repro.exec.serialize import result_to_dict
 from repro.exec.store import ResultStore
 from repro.harness.runner import RunReuse, run_workload, workload
@@ -216,23 +211,8 @@ class TestRunReuse:
         assert reuse.machine_resets == 0
 
 
-class TestResetEnvSwitch:
-    @pytest.mark.parametrize(
-        "value,enabled",
-        [("", True), ("0", True), ("false", True), ("no", True),
-         ("1", False), ("yes", False), ("true", False)],
-    )
-    def test_values(self, monkeypatch, value, enabled):
-        monkeypatch.setenv("REPRO_NO_RESET", value)
-        assert reset_enabled_from_env() is enabled
-
-    def test_unset_means_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
-        assert reset_enabled_from_env() is True
-
-
 class TestPackResetIdentity:
-    """End-to-end: reset-reuse ON and OFF land byte-identical stores."""
+    """End-to-end: reset-reuse and per-member rebuilds are identical."""
 
     def seed_family(self, count: int = 4) -> list[RunJob]:
         return [
@@ -243,30 +223,24 @@ class TestPackResetIdentity:
             for seed in range(1, count + 1)
         ]
 
-    def test_pack_stats_count_warm_members(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
+    def test_pack_stats_count_warm_members(self):
         outcomes, stats = execute_pack(self.seed_family())
         assert all(o.error is None for o in outcomes)
         assert stats == PackStats(reset_reuses=3, shared_prep_hits=3)
 
-    def test_no_reset_env_disables_reuse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        outcomes, stats = execute_pack(self.seed_family())
-        assert all(o.error is None for o in outcomes)
-        assert stats == PackStats(reset_reuses=0, shared_prep_hits=0)
-
-    def test_reset_on_off_results_bit_identical(self, monkeypatch):
+    def test_reset_on_off_results_bit_identical(self):
+        """A pack (reset between members) vs each member built afresh."""
         jobs = self.seed_family()
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
         on, _ = execute_pack(jobs)
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        off, _ = execute_pack(jobs)
+        off = [execute_job(job) for job in jobs]
         assert [result_to_dict(o.result) for o in on] == [
-            result_to_dict(o.result) for o in off
+            result_to_dict(result) for result in off
         ]
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_reset_on_off_stores_identical(self, tmp_path, backend, monkeypatch):
+    def test_reset_on_off_stores_identical(self, tmp_path, backend):
+        """The pool path (packs, reset reuse) vs the serial path (a
+        fresh machine per job)."""
         jobs = self.seed_family()
 
         def normalized(directory):
@@ -278,11 +252,9 @@ class TestPackResetIdentity:
             store.close()
             return records
 
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
-        Executor(jobs=2, packs=True,
+        Executor(jobs=2,
                  store=ResultStore(tmp_path / "on", backend=backend)).run(jobs)
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        Executor(jobs=2, packs=True,
+        Executor(jobs=1,
                  store=ResultStore(tmp_path / "off", backend=backend)).run(jobs)
         on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
         assert sorted(on) == sorted(off)

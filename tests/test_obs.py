@@ -405,9 +405,7 @@ class TestExecutorObservability:
         """A pooled seed family lands one pack span per dispatch unit."""
         rec = obs.configure(tmp_path / "obs", export_env=False)
         family = [tiny_job(seed=seed) for seed in range(1, 5)]
-        exe = Executor(
-            jobs=2, store=ResultStore(tmp_path / "store"), packs=True
-        )
+        exe = Executor(jobs=2, store=ResultStore(tmp_path / "store"))
         exe.run(family)
         rec.close()
 
@@ -426,11 +424,10 @@ class TestExecutorObservability:
         assert len(jobs) == len(family)
 
     def test_no_packs_run_has_no_pack_spans(self, tmp_path):
+        """The serial path runs every job on its own, never as a pack."""
         rec = obs.configure(tmp_path / "obs", export_env=False)
         family = [tiny_job(seed=seed) for seed in range(1, 5)]
-        Executor(
-            jobs=2, store=ResultStore(tmp_path / "store"), packs=False
-        ).run(family)
+        Executor(jobs=1, store=ResultStore(tmp_path / "store")).run(family)
         rec.close()
         records = list(load_events(tmp_path / "obs", rec.run_id))
         assert [r for r in records if r["name"] == "pack"] == []

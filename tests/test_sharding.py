@@ -240,10 +240,41 @@ class TestCli:
                      "--cache-dir", str(tmp_path / "c"))
         out = self.run_cli(capsys, "exec-status",
                            "--cache-dir", str(tmp_path / "c"), "--digests")
-        digests = out.split()
-        assert len(digests) == 3
+        rows = [line.split() for line in out.splitlines()]
+        assert len(rows) == 3
+        digests = [row[0] for row in rows]
         assert digests == sorted(digests)
-        assert all(len(d) == 64 for d in digests)
+        assert all(len(row) == 2 for row in rows)
+        assert all(len(field) == 64 for row in rows for field in row)
+
+    def test_exec_status_digests_compare_results(self, capsys, tmp_path):
+        """Same keys, one different result: the listings differ."""
+        import dataclasses
+
+        self.run_cli(capsys, "suite", "run", "--suite", "smoke",
+                     "--cache-dir", str(tmp_path / "a"))
+        source, copy = ResultStore(tmp_path / "a"), ResultStore(tmp_path / "b")
+        copy.merge_from(source)
+        source.close()
+        copy.close()
+
+        def listing(name: str) -> list[str]:
+            out = self.run_cli(capsys, "exec-status", "--cache-dir",
+                               str(tmp_path / name), "--digests")
+            return out.splitlines()
+
+        assert listing("a") == listing("b")
+        store = ResultStore(tmp_path / "b")
+        digest = min(digest for digest, _label in store.labels())
+        result = store.get(digest)
+        store.put(digest, dataclasses.replace(
+            result, end_cycle=result.end_cycle + 1))
+        store.close()
+        before, after = listing("a"), listing("b")
+        assert [row.split()[0] for row in before] == [
+            row.split()[0] for row in after
+        ]
+        assert [a == b for a, b in zip(before, after)] == [False, True, True]
 
     def test_merge_missing_source_fails(self, capsys, tmp_path):
         code = main(["suite", "merge", str(tmp_path / "nope"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, cancel
 
 
 def test_events_run_in_time_order():
@@ -49,9 +49,23 @@ def test_cancelled_event_is_skipped():
     fired: list[int] = []
     event = engine.schedule(10, fired.append, 1)
     engine.schedule(20, fired.append, 2)
-    event.cancel()
+    cancel(event)
     engine.run()
     assert fired == [2]
+
+
+def test_cancel_after_fire_spares_later_events():
+    # A holder that cancels a handle after its event fired must not
+    # touch any other event, in particular one scheduled after the fire.
+    engine = Engine()
+    fired: list[int] = []
+    old = engine.schedule(1, fired.append, 1)
+    engine.run()
+    engine.schedule(1, fired.append, 2)
+    cancel(old)
+    engine.run()
+    assert fired == [1, 2]
+    assert engine.events_executed == 2
 
 
 def test_cannot_schedule_in_the_past():
@@ -86,16 +100,19 @@ def test_max_events_guard():
         engine.run(max_events=100)
 
 
-def test_pending_and_next_event_time():
+def test_pending_counts_live_events():
     engine = Engine()
     assert engine.pending() == 0
-    assert engine.next_event_time() is None
     e1 = engine.schedule(7, lambda: None)
     engine.schedule(3, lambda: None)
     assert engine.pending() == 2
-    assert engine.next_event_time() == 3
-    e1.cancel()
+    cancel(e1)
     assert engine.pending() == 1
+    cancel(e1)  # cancelling twice is a no-op
+    assert engine.pending() == 1
+    engine.run()
+    assert engine.pending() == 0
+    assert engine.events_executed == 1
 
 
 def test_step_returns_false_when_empty():
